@@ -131,10 +131,6 @@ def _entry_cells(states) -> int:
     )
 
 
-def _dict_cells(states) -> int:
-    return sum(len(state) for state in states.values())
-
-
 def _solve_dispatch(args, graph, root):
     """Returns (feasible, objective, partition, dp_cells)."""
     algorithm = args.algorithm or ("interval" if args.variant in _BOTH_ALGORITHMS else "tupleset")
@@ -157,7 +153,7 @@ def _solve_dispatch(args, graph, root):
             return feasible, None, None, _entry_cells(states)
         run_state = annotate(graph, params, algorithm, root)
         if algorithm == "tupleset":
-            cells = _dict_cells(run_state.states)
+            cells = _mask_cells(run_state.states)
             feasible = any(
                 k == params.num_clusters and params.lower <= x <= params.upper
                 for (x, k) in run_state.root_state

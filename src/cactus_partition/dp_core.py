@@ -25,9 +25,14 @@ configurations, so the subtree set at the start node is the union over
 all of them.
 
 The same traversal drives several payload algebras: a bitmask algebra for
-fast decisions, a recorded algebra whose entries remember one witness
-combination each (enough to rebuild an actual partition), and the cost /
-size / capacity algebras of the optimisation variants.
+the tuple-set engine and the cost / size / capacity algebras of the
+optimisation variants.  The bitmask states are exact, so the tuple-set
+engine keeps no records: ``backtrack`` reads a witness straight out of
+them by walking the tree top-down, recomputing through
+:func:`fold_configuration` only the chains of the cycle configurations
+the witness passes through.  ``TupleAlgebra``, a recorded algebra whose
+entries remember one witness combination each, stays here as the
+reference the tests compare those witnesses with.
 """
 
 from __future__ import annotations
@@ -132,7 +137,32 @@ def run_tree_dp(tree, alg, include_redundant_config=False, config_sink=None):
 
 
 def _cycle_union(tree, alg, sets, cyc, start_state, include_redundant, config_sink):
-    """Union of the per-configuration states at the cycle's start node.
+    """Union of the per-configuration states at the cycle's start node."""
+    m = cyc.length
+    owns = cycle_node_states(tree, sets, cyc)
+    configs = []
+    last_j = m if include_redundant else m - 1
+    for j in range(1, last_j + 1):
+        step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
+        joined, _chains = fold_configuration(alg, step, owns, start_state, alg.combine)
+        state = alg.strip(joined[-1], step)
+        configs.append((j, step, state))
+        if config_sink is not None:
+            config_sink[(cyc, j)] = state
+    return alg.union_configs(configs, cyc)
+
+
+def cycle_node_states(tree, sets, cyc):
+    """Full subtree states of the cycle's path nodes, by path position.
+
+    Position 0, the start node, is None: its state is what the cycle is
+    being folded into.
+    """
+    return [None] + [sets[(node, tree.full_index(node))] for node in cyc.path[1:]]
+
+
+def fold_configuration(alg, step, owns, start_state, combine):
+    """Fold one cycle configuration into its start node's state.
 
     In configuration j the cycle path splits in two chains that are folded
     from their deepest node upwards: the remainder of the original path
@@ -140,53 +170,41 @@ def _cycle_union(tree, alg, sets, cyc, start_state, include_redundant, config_si
     off the start node through the closing edge.  The two nodes incident
     to the configuration's absent edge sit at the bottoms of these chains;
     algebras that charge the absent edge (capacities) mark them via
-    ``lift(..., charged=True)``.
+    ``lift(..., charged=True)``.  The chain tops are then combined into
+    the (lifted) start state, the first chain through the edge to the
+    first path child and the second through the closing edge.
+
+    ``owns`` comes from :func:`cycle_node_states`; ``combine`` is the
+    algebra's combine or a function with its signature.  Returns
+    ``(joined, chains)``.  ``chains`` lists ``(edge, positions, states)``
+    in joining order: ``edge`` joins the chain top to the start node,
+    ``positions`` are the chain's path positions from the bottom up, and
+    ``states[t]`` is the chain folded up to ``positions[t]``.  ``joined``
+    holds the lifted start state and the state after each chain is
+    joined; the last one, once stripped, is the configuration's state.
     """
+    cyc, j = step.cycle, step.j
     ws = cyc.path
     m = len(ws)
-
-    def own(i):
-        node = ws[i]
-        return sets[(node, tree.full_index(node))]
-
-    configs = []
-    last_j = m if include_redundant else m - 1
-    for j in range(1, last_j + 1):
-        step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
-        if j < m:
-            bottom = m - 1 if j == 1 else m - j
-            t = alg.lift(own(bottom), step, charged=True)
-            for i in range(bottom - 1, 0, -1):
-                t = alg.combine(
-                    alg.lift(own(i), step, charged=False),
-                    t,
-                    edge_key(ws[i], ws[i + 1]),
-                    step,
-                )
-        else:
-            t = None
-        if j >= 2:
-            bottom = m - j + 1
-            t2 = alg.lift(own(bottom), step, charged=True)
-            for i in range(bottom + 1, m):
-                t2 = alg.combine(
-                    alg.lift(own(i), step, charged=False),
-                    t2,
-                    edge_key(ws[i], ws[i - 1]),
-                    step,
-                )
-        else:
-            t2 = None
-        state = alg.lift(start_state, step, charged=(j == 1 or j == m))
-        if t is not None:
-            state = alg.combine(state, t, edge_key(ws[0], ws[1]), step)
-        if t2 is not None:
-            state = alg.combine(state, t2, cyc.closing_edge, step)
-        state = alg.strip(state, step)
-        configs.append((j, step, state))
-        if config_sink is not None:
-            config_sink[(cyc, j)] = state
-    return alg.union_configs(configs, cyc)
+    spans = []  # (edge to the start node, positions, offset of the node below)
+    if j < m:
+        bottom = m - 1 if j == 1 else m - j
+        spans.append((edge_key(ws[0], ws[1]), range(bottom, 0, -1), 1))
+    if j >= 2:
+        spans.append((cyc.closing_edge, range(m - j + 1, m), -1))
+    chains = []
+    for edge, positions, below in spans:
+        states = []
+        t = None
+        for i in positions:
+            own = alg.lift(owns[i], step, charged=t is None)
+            t = own if t is None else combine(own, t, edge_key(ws[i], ws[i + below]), step)
+            states.append(t)
+        chains.append((edge, positions, states))
+    joined = [alg.lift(start_state, step, charged=(j == 1 or j == m))]
+    for edge, _positions, states in chains:
+        joined.append(combine(joined[-1], states[-1], edge, step))
+    return joined, chains
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +263,11 @@ class MaskAlgebra:
                     out[k] = out.get(k, 0) | acc
         return out
 
+    # The same function under a second name, for the witness walk, which
+    # combines outside any DP run: wrappers installed on ``combine`` (the
+    # per-run combine counters of perfbench's tracer) do not see its calls.
+    join_states = combine
+
     def lift(self, state, step, charged):
         return state
 
@@ -260,17 +283,20 @@ class MaskAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# recorded algebra: one witness per tuple, for backtracking
+# recorded algebra: one witness per tuple, the tests' reference
 
 
 class TupleAlgebra:
     """Subtree sets as ``{(x, k): (None, record)}`` dictionaries.
 
     Records point at the states and keys they were combined from, so a
-    partition can be rebuilt by walking them.  One witness per tuple is
-    enough: the sets are exact, hence any stored combination leads to a
-    valid partition.  Iteration is sorted so the kept witness is the one
-    with the smallest child tuple, making reconstruction deterministic.
+    partition can be rebuilt by walking them with ``collect_cuts``.  One
+    witness per tuple is enough: the sets are exact, hence any stored
+    combination leads to a valid partition.  Iteration is sorted so the
+    kept witness is the one with the smallest child tuple, then the
+    smallest parent tuple, and the lowest cycle configuration.  No solver
+    runs this algebra: the tuple-set engine reads the same witnesses out
+    of the bitmask states, and the tests check that against this one.
     """
 
     def __init__(self, graph: CactusGraph, params: ProblemParams):

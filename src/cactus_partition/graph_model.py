@@ -8,6 +8,7 @@ immutable after validation and safe to share between solver runs.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -101,6 +102,8 @@ def validate_cactus(raw: dict) -> CactusGraph:
     weight: dict[str, int] = {}
     size: dict[str, int] = {}
     for entry in raw_vertices:
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise GraphError(f"vertex entry {reprlib.repr(entry)} is not an object with an id")
         vid = str(entry["id"])
         if vid in weight:
             raise GraphError(f"duplicate vertex id {vid!r}")
@@ -117,6 +120,8 @@ def validate_cactus(raw: dict) -> CactusGraph:
     capacity: dict[Edge, int] = {}
     neighbours: dict[str, list[str]] = {v: [] for v in vertices}
     for entry in raw_edges:
+        if not isinstance(entry, dict) or "u" not in entry or "v" not in entry:
+            raise GraphError(f"edge entry {reprlib.repr(entry)} is not an object with u and v")
         u, v = str(entry["u"]), str(entry["v"])
         if u not in weight or v not in weight:
             raise GraphError(f"edge ({u!r}, {v!r}) references an unknown vertex")

@@ -4,7 +4,8 @@ All variants reuse the shared bottom-up traversal with their own tuple
 payloads:
 
 * minimum / maximum cluster count: plain solver with the count cap set to
-  the number of vertices, then scan the root set for the extreme count;
+  the number of vertices, then scan the root set for the extreme count
+  and read the witness for that count out of the same run;
 * minimum cut cost: tuples carry the accumulated cost of cut edges, with
   a flag inside cycles recording whether the cycle was cut at all (if so,
   the configuration's absent edge is also a cut edge and its cost is
@@ -25,11 +26,12 @@ payloads:
 
 from __future__ import annotations
 
-from .backtrack import AnnotatedRun, collect_cuts, reconstruct
-from .dp_core import ProblemParams, TupleAlgebra, run_tree_dp
+from dataclasses import replace
+
+from .backtrack import annotate, collect_cuts, reconstruct
+from .dp_core import ProblemParams, run_tree_dp
 from .errors import InvalidParamsError
 from .graph_model import CactusGraph, Partition, canonicalize_partition
-from .interval_dp import IntervalAlgebra
 from .tree_rep import build_tree
 
 
@@ -41,10 +43,14 @@ def _sorted_items(state):
     return sorted(state.items(), key=lambda kv: _key_order(kv[0]))
 
 
-def _record_cells(stats, states, interval=False):
+def _record_cells(stats, states, algorithm=None):
+    """Add the states' size to ``stats``: set mask bits for the tuple-set
+    engine, entries for the interval engine, keys for the dict algebras."""
     if stats is None:
         return
-    if interval:
+    if algorithm == "tupleset":
+        cells = sum(mask.bit_count() for st in states.values() for mask in st.values())
+    elif algorithm == "interval":
         cells = sum(len(ent) for st in states.values() for ent in st.values())
     else:
         cells = sum(len(st) for st in states.values())
@@ -73,36 +79,22 @@ def _extreme_partition(graph, lower, upper, root, algorithm, minimize, stats=Non
     params = ProblemParams(lower, upper, graph.num_vertices)
     if graph.max_weight > upper:
         return None
-    tree = build_tree(graph, root)
-    if algorithm == "interval":
-        alg = IntervalAlgebra(graph, params)
-    elif algorithm == "tupleset":
-        alg = TupleAlgebra(graph, params)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    states = run_tree_dp(tree, alg)
-    _record_cells(stats, states, interval=algorithm == "interval")
-    root_state = states[(tree.root, tree.full_index(tree.root))]
+    run = annotate(graph, params, algorithm, root)
+    _record_cells(stats, run.states, algorithm)
 
     if algorithm == "interval":
         feasible = [
             k
-            for k, entries in root_state.items()
+            for k, entries in run.root_state.items()
             if any(e.intersects(lower, upper) for e in entries)
         ]
     else:
-        feasible = [k for (x, k) in root_state if lower <= x <= upper]
+        feasible = [k for (x, k) in run.root_state if lower <= x <= upper]
     if not feasible:
         return None
     count = min(feasible) if minimize else max(feasible)
-    run = AnnotatedRun(
-        tree=tree,
-        params=ProblemParams(lower, upper, count),
-        algorithm=algorithm,
-        states=states,
-        root_state=root_state,
-    )
-    return count, reconstruct(run)
+    # the count-cap-n states hold every smaller count's states unchanged
+    return count, reconstruct(replace(run, params=ProblemParams(lower, upper, count)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +132,12 @@ class CostAlgebra:
         edge_cost = self.graph.cost[edge]
         in_cycle = step is not None
         out: dict = {}
+        a_items = _sorted_items(a)
         for bkey, (c2, _recb) in _sorted_items(b):
             x2, k2 = bkey[0], bkey[1]
             b2 = bkey[2] if in_cycle else 0
             cut_ok = x2 >= self.lower
-            for akey, (c1, _reca) in _sorted_items(a):
+            for akey, (c1, _reca) in a_items:
                 x1, k1 = akey[0], akey[1]
                 b1 = akey[2] if in_cycle else 0
                 if cut_ok and k1 + k2 <= self.count_cap:
@@ -260,9 +253,10 @@ class SizeWeightAlgebra:
 
     def combine(self, a, b, edge, step):
         out: dict = {}
+        a_items = _sorted_items(a)
         for (x2, k2), (y2, _recb) in _sorted_items(b):
             cut_ok = x2 >= self.lower and (not self.maximize or y2 >= self.bound)
-            for (x1, k1), (y1, _reca) in _sorted_items(a):
+            for (x1, k1), (y1, _reca) in a_items:
                 if cut_ok and k1 + k2 <= self.count:
                     rec = ("step", "cut", a, (x1, k1), b, (x2, k2), edge)
                     self._put(out, (x1, k1 + k2), y1, rec)
@@ -312,22 +306,25 @@ def minmax_partition(graph, lower, upper, num_clusters, root=None, stats=None):
 
     Returns ``(weight, partition)`` or None.  The optimal weight is found
     by binary search: allowing a heavier heaviest cluster only ever helps,
-    so feasibility is monotone in the probed bound.
+    so feasibility is monotone in the probed bound.  The search ends on a
+    bound already probed feasible, whose partition is returned.
     """
     ProblemParams(lower, upper, num_clusters)
     if num_clusters > graph.num_vertices or max(graph.size.values()) > upper:
         return None
     lo = max(graph.weight.values())
     hi = graph.total_weight
-    if _size_weight_solve(graph, lower, upper, num_clusters, hi, False, root, stats) is None:
+    best = _size_weight_solve(graph, lower, upper, num_clusters, hi, False, root, stats)
+    if best is None:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
-        if _size_weight_solve(graph, lower, upper, num_clusters, mid, False, root, stats):
-            hi = mid
+        found = _size_weight_solve(graph, lower, upper, num_clusters, mid, False, root, stats)
+        if found is not None:
+            hi, best = mid, found
         else:
             lo = mid + 1
-    return lo, _size_weight_solve(graph, lower, upper, num_clusters, lo, False, root, stats)
+    return lo, best
 
 
 def maxmin_partition(graph, lower, upper, num_clusters, root=None, stats=None):
@@ -338,15 +335,17 @@ def maxmin_partition(graph, lower, upper, num_clusters, root=None, stats=None):
         return None
     lo = 0
     hi = graph.total_weight
-    if _size_weight_solve(graph, lower, upper, num_clusters, lo, True, root, stats) is None:
+    best = _size_weight_solve(graph, lower, upper, num_clusters, lo, True, root, stats)
+    if best is None:
         return None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _size_weight_solve(graph, lower, upper, num_clusters, mid, True, root, stats):
-            lo = mid
+        found = _size_weight_solve(graph, lower, upper, num_clusters, mid, True, root, stats)
+        if found is not None:
+            lo, best = mid, found
         else:
             hi = mid - 1
-    return lo, _size_weight_solve(graph, lower, upper, num_clusters, lo, True, root, stats)
+    return lo, best
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +385,12 @@ class CapacityAlgebra:
         cap_max = self.capacity_upper
         in_cycle = step is not None
         out: dict = {}
+        a_items = _sorted_items(a)
         for bkey, (y2, _recb) in _sorted_items(b):
             x2, k2 = bkey[0], bkey[1]
             b2 = bkey[2] if in_cycle else None
             cut_weight_ok = x2 >= self.weight_lower and y2 + edge_cap <= cap_max
-            for akey, (y1, _reca) in _sorted_items(a):
+            for akey, (y1, _reca) in a_items:
                 x1, k1 = akey[0], akey[1]
                 b1 = akey[2] if in_cycle else None
                 if (

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,9 +8,15 @@ from hypothesis import strategies as st
 from cactus_partition import (
     ProblemParams,
     annotate,
+    build_tree,
+    canonicalize_partition,
     decide_p_partition,
+    max_partition,
+    min_partition,
     reconstruct,
 )
+from cactus_partition.backtrack import collect_cuts
+from cactus_partition.dp_core import TupleAlgebra, run_tree_dp
 from cactus_partition.errors import WitnessNotFoundError
 
 from util import graph_from, path, random_graph, triangle
@@ -80,3 +89,77 @@ def test_reconstruction_valid_whenever_feasible(seed, lower, span, p):
         assert part.num_clusters == p
         assert all(params.lower <= w <= params.upper for w in part.weights)
         assert sorted(v for c in part.clusters for v in c) == sorted(g.vertices)
+
+
+def _recorded_root(tree, params):
+    states = run_tree_dp(tree, TupleAlgebra(tree.graph, params))
+    return states[(tree.root, tree.full_index(tree.root))]
+
+
+def _recorded_witness(graph, root_state, lower, upper, count):
+    key = min((x, k) for (x, k) in root_state if k == count and lower <= x <= upper)
+    return canonicalize_partition(graph, collect_cuts(root_state, key))
+
+
+def _witness_instances(count):
+    rng = random.Random(0x3A5C)
+    for seed in range(count):
+        g = random_graph(seed, n=rng.randint(1, 12), cycle_density=rng.choice((0.3, 0.6, 0.9)))
+        lower = rng.randint(0, 5)
+        upper = max(lower + rng.randint(0, 7), g.max_weight)
+        yield g, lower, upper, rng.randint(1, g.num_vertices)
+
+
+def test_witnesses_match_recorded_algebra():
+    """The mask walk gives exactly the witnesses ``TupleAlgebra`` records."""
+    solved = extremes = 0
+    for g, lower, upper, p in _witness_instances(1000):
+        tree = build_tree(g)
+        params = ProblemParams(lower, upper, p)
+        recorded = _recorded_root(tree, params)
+        run = annotate(tree, params, "tupleset")
+        assert run.root_state == frozenset(recorded)
+        if any(k == p and lower <= x <= upper for (x, k) in recorded):
+            assert reconstruct(run) == _recorded_witness(g, recorded, lower, upper, p)
+            solved += 1
+        recorded = _recorded_root(tree, ProblemParams(lower, upper, g.num_vertices))
+        counts = [k for (x, k) in recorded if lower <= x <= upper]
+        for fn, count in ((min_partition, min(counts, default=None)),
+                          (max_partition, max(counts, default=None))):
+            got = fn(g, lower, upper, algorithm="tupleset")
+            if count is None:
+                assert got is None
+                continue
+            assert got == (count, _recorded_witness(g, recorded, lower, upper, count))
+            extremes += 1
+    assert solved >= 300 and extremes >= 1000
+
+
+def test_every_root_tuple_reconstructs():
+    checked = 0
+    for g, lower, upper, p in _witness_instances(600):
+        run = annotate(g, ProblemParams(lower, upper, p), "tupleset")
+        root = run.tree.root
+        for x, k in sorted(run.root_state):
+            part = reconstruct(run, (x, k))
+            assert part.num_clusters == k
+            for members, weight in zip(part.clusters, part.weights):
+                if root in members:
+                    assert weight == x
+                else:
+                    assert lower <= weight <= upper
+            checked += 1
+    assert checked >= 1000
+
+
+def test_deep_path_reconstructs_iteratively():
+    g = path([1] * 3000)
+    run = annotate(g, ProblemParams(10, 10, 300), "tupleset")
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        part = reconstruct(run)
+        assert sys.getrecursionlimit() == 200
+    finally:
+        sys.setrecursionlimit(before)
+    assert part.num_clusters == 300 and set(part.weights) == {10}

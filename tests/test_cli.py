@@ -157,6 +157,21 @@ def test_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"vertices": [{"weight": 1}]},
+        {"vertices": ["a"]},
+        {"vertices": [{"id": "a"}, {"id": "b"}], "edges": [{"u": "a"}]},
+    ],
+    ids=["vertex-without-id", "vertex-not-an-object", "edge-without-v"],
+)
+def test_malformed_entries_exit_3(graph_file, capsys, document):
+    assert run(["solve", "--variant", "min", "-l", "0", "-u", "3", graph_file(document)]) == 3
+    err = capsys.readouterr().err
+    assert "invalid graph" in err and "entry" in err
+
+
 def test_gen_is_deterministic_and_valid(capsys):
     assert run(["gen", "-n", "12", "--cycle-density", "0.5", "--seed", "9"]) == 0
     first = capsys.readouterr().out

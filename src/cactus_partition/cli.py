@@ -15,11 +15,10 @@ import time
 
 from . import variants
 from .backtrack import annotate, reconstruct
-from .dp_core import MaskAlgebra, ProblemParams, run_tree_dp, trivially_infeasible
+from .dp_core import ProblemParams, state_cells, trivially_infeasible
 from .errors import GraphError, InvalidParamsError, TooLargeError
 from .generate import gen_random_cactus
 from .graph_model import validate_cactus
-from .interval_dp import IntervalAlgebra
 from .oracle import (
     enumerate_all,
     oracle_capacity,
@@ -119,51 +118,28 @@ def _check_flags(args) -> str | None:
     return None
 
 
-def _mask_cells(states) -> int:
-    return sum(
-        bin(mask).count("1") for state in states.values() for mask in state.values()
-    )
-
-
-def _entry_cells(states) -> int:
-    return sum(
-        len(entries) for state in states.values() for entries in state.values()
-    )
-
-
-def _solve_dispatch(args, graph, root):
+def _solve_dispatch(args, graph, tree):
     """Returns (feasible, objective, partition, dp_cells)."""
     algorithm = args.algorithm or ("interval" if args.variant in _BOTH_ALGORITHMS else "tupleset")
     variant = args.variant
+    root = args.root
 
     if variant in ("decide", "solve"):
         params = ProblemParams(args.l, args.u, args.p)
         if trivially_infeasible(graph, params):
             return False, None, None, 0
-        if variant == "decide":
-            tree = build_tree(graph, root)
-            if algorithm == "tupleset":
-                alg = MaskAlgebra(graph, params)
-                states = run_tree_dp(tree, alg)
-                mask = states[(tree.root, tree.full_index(tree.root))].get(params.num_clusters, 0)
-                return bool(mask & alg.window_mask), None, None, _mask_cells(states)
-            states = run_tree_dp(tree, IntervalAlgebra(graph, params))
-            entries = states[(tree.root, tree.full_index(tree.root))].get(params.num_clusters, ())
-            feasible = any(e.intersects(params.lower, params.upper) for e in entries)
-            return feasible, None, None, _entry_cells(states)
-        run_state = annotate(graph, params, algorithm, root)
+        run_state = annotate(tree, params, algorithm)
+        cells = state_cells(run_state.states, algorithm)
         if algorithm == "tupleset":
-            cells = _mask_cells(run_state.states)
             feasible = any(
                 k == params.num_clusters and params.lower <= x <= params.upper
                 for (x, k) in run_state.root_state
             )
         else:
-            cells = _entry_cells(run_state.states)
             entries = run_state.root_state.get(params.num_clusters, ())
             feasible = any(e.intersects(params.lower, params.upper) for e in entries)
-        if not feasible:
-            return False, None, None, cells
+        if variant == "decide" or not feasible:
+            return feasible, None, None, cells
         return True, None, reconstruct(run_state), cells
 
     stats: dict = {}
@@ -228,14 +204,14 @@ def _run_solve(args) -> int:
     if args.root is not None and args.root not in graph.weight:
         return _usage_error(f"--root {args.root!r} is not a vertex of the graph")
 
+    tree = build_tree(graph, args.root)
     started = time.perf_counter()
     try:
-        feasible, objective, partition, cells = _solve_dispatch(args, graph, args.root)
+        feasible, objective, partition, cells = _solve_dispatch(args, graph, tree)
     except InvalidParamsError as exc:
         return _usage_error(str(exc))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    tree = build_tree(graph, args.root)
     result = {
         "feasible": feasible,
         "objective": objective,

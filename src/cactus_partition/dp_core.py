@@ -376,6 +376,20 @@ def _mask_state_to_set(state) -> frozenset:
     )
 
 
+def state_cells(states, algorithm=None) -> int:
+    """Total size of a run's states (the CLI's ``stats.dp_cells``).
+
+    Counts set mask bits for the tuple-set engine, stored intervals for
+    the interval engine (``algorithm`` "tupleset" / "interval") and keys
+    for the dict algebras (``algorithm`` None).
+    """
+    if algorithm == "tupleset":
+        return sum(mask.bit_count() for st in states.values() for mask in st.values())
+    if algorithm == "interval":
+        return sum(len(ivs) for st in states.values() for ivs in st.values())
+    return sum(len(st) for st in states.values())
+
+
 def _check_leaf_weights(graph: CactusGraph, params: ProblemParams) -> None:
     if graph.max_weight > params.upper:
         raise WeightExceedsUpperError(

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .backtrack import annotate, collect_cuts, reconstruct
-from .dp_core import ProblemParams, run_tree_dp
+from .dp_core import ProblemParams, run_tree_dp, state_cells
 from .errors import InvalidParamsError
 from .graph_model import CactusGraph, Partition, canonicalize_partition
 from .tree_rep import build_tree
@@ -44,17 +44,9 @@ def _sorted_items(state):
 
 
 def _record_cells(stats, states, algorithm=None):
-    """Add the states' size to ``stats``: set mask bits for the tuple-set
-    engine, entries for the interval engine, keys for the dict algebras."""
-    if stats is None:
-        return
-    if algorithm == "tupleset":
-        cells = sum(mask.bit_count() for st in states.values() for mask in st.values())
-    elif algorithm == "interval":
-        cells = sum(len(ent) for st in states.values() for ent in st.values())
-    else:
-        cells = sum(len(st) for st in states.values())
-    stats["dp_cells"] = stats.get("dp_cells", 0) + cells
+    """Add the states' size (see :func:`state_cells`) to ``stats``."""
+    if stats is not None:
+        stats["dp_cells"] = stats.get("dp_cells", 0) + state_cells(states, algorithm)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ from cactus_partition import (
     reconstruct,
 )
 from cactus_partition.backtrack import collect_cuts
-from cactus_partition.dp_core import TupleAlgebra, run_tree_dp
+from cactus_partition.dp_core import MaskAlgebra, TupleAlgebra, run_tree_dp
 from cactus_partition.errors import WitnessNotFoundError
+from cactus_partition.interval_dp import IntervalAlgebra
 
+from interval_reference import recorded_states, recorded_witness
 from util import graph_from, path, random_graph, triangle
 
 
@@ -152,9 +154,10 @@ def test_every_root_tuple_reconstructs():
     assert checked >= 1000
 
 
-def test_deep_path_reconstructs_iteratively():
+@pytest.mark.parametrize("algorithm", ["tupleset", "interval"])
+def test_deep_path_reconstructs_iteratively(algorithm):
     g = path([1] * 3000)
-    run = annotate(g, ProblemParams(10, 10, 300), "tupleset")
+    run = annotate(g, ProblemParams(10, 10, 300), algorithm)
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
@@ -163,3 +166,76 @@ def test_deep_path_reconstructs_iteratively():
     finally:
         sys.setrecursionlimit(before)
     assert part.num_clusters == 300 and set(part.weights) == {10}
+
+
+def _plain(states):
+    return {ctx: {k: tuple((e.lo, e.hi) for e in ents) for k, ents in st.items()}
+            for ctx, st in states.items()}
+
+
+def test_interval_walk_matches_recorded_search():
+    """States and witnesses equal the recorded algebra's and its recursive search's."""
+    solved = extremes = cyclic = 0
+    for g, lower, upper, p in _witness_instances(1000):
+        tree = build_tree(g)
+        root_ctx = (tree.root, tree.full_index(tree.root))
+        params = ProblemParams(lower, upper, p)
+        run = annotate(tree, params, "interval")
+        configs: dict = {}
+        recorded = recorded_states(tree, params, configs)
+        assert run.states == _plain(recorded)
+        assert run.configs == _plain(configs)
+        cyclic += bool(tree.cycles)
+        root = recorded[root_ctx]
+        targets = [(e.lo, e.hi, p) for e in root.get(p, ()) if e.intersects(lower, upper)]
+        if targets:
+            assert reconstruct(run) == recorded_witness(g, root, params)
+            solved += 1
+        for target in targets:
+            assert reconstruct(run, target) == recorded_witness(g, root, params, target)
+        root = recorded_states(tree, ProblemParams(lower, upper, g.num_vertices))[root_ctx]
+        counts = [k for k, ents in root.items() if any(e.intersects(lower, upper) for e in ents)]
+        for fn, count in ((min_partition, min(counts, default=None)),
+                          (max_partition, max(counts, default=None))):
+            got = fn(g, lower, upper, algorithm="interval")
+            if count is None:
+                assert got is None
+                continue
+            assert got == (count, recorded_witness(g, root, ProblemParams(lower, upper, count)))
+            extremes += 1
+    assert solved >= 300 and extremes >= 1000 and cyclic >= 500
+
+
+@pytest.mark.parametrize("algorithm", ["tupleset", "interval"])
+def test_witness_reads_add_no_combine(algorithm, monkeypatch):
+    """Witnesses come out of the annotated states: after ``annotate`` no
+    algebra ``combine`` runs (the walk refolds cycles through
+    ``join_states``)."""
+    calls = []
+    for cls in (MaskAlgebra, IntervalAlgebra):
+        def counted(self, a, b, edge, step, _combine=cls.combine):
+            calls.append(step)
+            return _combine(self, a, b, edge, step)
+
+        monkeypatch.setattr(cls, "combine", counted)
+    walked = 0
+    for seed in range(40):
+        g = random_graph(seed, n=14, cycle_density=0.9)
+        lower, upper = seed % 4, max(seed % 4 + 4, g.max_weight)
+        del calls[:]
+        annotate(g, ProblemParams(lower, upper, g.num_vertices), algorithm)
+        dp_calls = len(calls)
+        assert any(step is not None for step in calls)  # cycles were folded
+        for fn in (min_partition, max_partition):
+            del calls[:]
+            got = fn(g, lower, upper, algorithm=algorithm)
+            assert len(calls) == dp_calls
+            if got is None:
+                continue
+            del calls[:]
+            run = annotate(g, ProblemParams(lower, upper, got[0]), algorithm)
+            dp_calls_p = len(calls)
+            assert reconstruct(run).num_clusters == got[0]
+            assert len(calls) == dp_calls_p
+            walked += 1
+    assert walked >= 60

@@ -55,7 +55,7 @@ from .dp_core import (
 from .errors import WitnessNotFoundError
 from .graph_model import CactusGraph, Partition, canonicalize_partition, edge_key
 from .interval_dp import IEntry, IntervalAlgebra
-from .tree_rep import CactusTree, absent_cycle_edge, build_tree
+from .tree_rep import CactusTree, absent_cycle_edge, as_tree
 
 
 @dataclass
@@ -84,6 +84,17 @@ class AnnotatedRun:
     def graph(self) -> CactusGraph:
         return self.tree.graph
 
+    def feasible_counts(self) -> set[int]:
+        """Cluster counts whose root entries meet ``[lower, upper]``."""
+        lower, upper = self.params.lower, self.params.upper
+        if self.algorithm == "interval":
+            return {
+                k
+                for k, entries in self.root_state.items()
+                if any(e.intersects(lower, upper) for e in entries)
+            }
+        return {k for (x, k) in self.root_state if lower <= x <= upper}
+
 
 def annotate(
     graph: CactusGraph | CactusTree,
@@ -97,7 +108,7 @@ def annotate(
     interval-compressed one (interval states); either way the
     per-configuration states of every cycle are kept too.
     """
-    tree = graph if isinstance(graph, CactusTree) else build_tree(graph, root)
+    tree = as_tree(graph, root)
     _check_leaf_weights(tree.graph, params)
     root_ctx = (tree.root, tree.full_index(tree.root))
     configs: dict = {}

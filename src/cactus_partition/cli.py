@@ -118,26 +118,18 @@ def _check_flags(args) -> str | None:
     return None
 
 
-def _solve_dispatch(args, graph, tree):
+def _solve_dispatch(args, tree):
     """Returns (feasible, objective, partition, dp_cells)."""
     algorithm = args.algorithm or ("interval" if args.variant in _BOTH_ALGORITHMS else "tupleset")
     variant = args.variant
-    root = args.root
 
     if variant in ("decide", "solve"):
         params = ProblemParams(args.l, args.u, args.p)
-        if trivially_infeasible(graph, params):
+        if trivially_infeasible(tree.graph, params):
             return False, None, None, 0
         run_state = annotate(tree, params, algorithm)
         cells = state_cells(run_state.states, algorithm)
-        if algorithm == "tupleset":
-            feasible = any(
-                k == params.num_clusters and params.lower <= x <= params.upper
-                for (x, k) in run_state.root_state
-            )
-        else:
-            entries = run_state.root_state.get(params.num_clusters, ())
-            feasible = any(e.intersects(params.lower, params.upper) for e in entries)
+        feasible = params.num_clusters in run_state.feasible_counts()
         if variant == "decide" or not feasible:
             return feasible, None, None, cells
         return True, None, reconstruct(run_state), cells
@@ -145,18 +137,16 @@ def _solve_dispatch(args, graph, tree):
     stats: dict = {}
     if variant in ("min", "max"):
         fn = variants.min_partition if variant == "min" else variants.max_partition
-        result = fn(graph, args.l, args.u, root=root, algorithm=algorithm, stats=stats)
+        result = fn(tree, args.l, args.u, algorithm=algorithm, stats=stats)
     elif variant == "min-cost":
-        result = variants.min_cost_partition(
-            graph, args.l, args.u, num_clusters=args.p, root=root, stats=stats
-        )
+        result = variants.min_cost_partition(tree, args.l, args.u, num_clusters=args.p, stats=stats)
     elif variant == "minmax":
-        result = variants.minmax_partition(graph, args.l, args.u, args.p, root=root, stats=stats)
+        result = variants.minmax_partition(tree, args.l, args.u, args.p, stats=stats)
     elif variant == "maxmin":
-        result = variants.maxmin_partition(graph, args.l, args.u, args.p, root=root, stats=stats)
+        result = variants.maxmin_partition(tree, args.l, args.u, args.p, stats=stats)
     else:
         result = variants.capacity_partition(
-            graph, args.lw, args.uw, args.uc, objective=args.objective, root=root, stats=stats
+            tree, args.lw, args.uw, args.uc, objective=args.objective, stats=stats
         )
     cells = stats.get("dp_cells", 0)
     if result is None:
@@ -207,7 +197,7 @@ def _run_solve(args) -> int:
     tree = build_tree(graph, args.root)
     started = time.perf_counter()
     try:
-        feasible, objective, partition, cells = _solve_dispatch(args, graph, tree)
+        feasible, objective, partition, cells = _solve_dispatch(args, tree)
     except InvalidParamsError as exc:
         return _usage_error(str(exc))
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -144,8 +144,9 @@ def _cycle_union(tree, alg, sets, cyc, start_state, include_redundant, config_si
     last_j = m if include_redundant else m - 1
     for j in range(1, last_j + 1):
         step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
-        joined, _chains = fold_configuration(alg, step, owns, start_state, alg.combine)
-        state = alg.strip(joined[-1], step)
+        joined, chains = fold_configuration(alg, step, owns, start_state, alg.combine)
+        edge, _positions, top = chains[-1]
+        state = alg.strip(alg.combine(joined[-1], top[-1], edge, step), step)
         configs.append((j, step, state))
         if config_sink is not None:
             config_sink[(cyc, j)] = state
@@ -172,7 +173,9 @@ def fold_configuration(alg, step, owns, start_state, combine):
     algebras that charge the absent edge (capacities) mark them via
     ``lift(..., charged=True)``.  The chain tops are then combined into
     the (lifted) start state, the first chain through the edge to the
-    first path child and the second through the closing edge.
+    first path child and the second through the closing edge; the last
+    of these joins is left to the caller, because the witness walks only
+    read the states before it.
 
     ``owns`` comes from :func:`cycle_node_states`; ``combine`` is the
     algebra's combine or a function with its signature.  Returns
@@ -180,8 +183,10 @@ def fold_configuration(alg, step, owns, start_state, combine):
     in joining order: ``edge`` joins the chain top to the start node,
     ``positions`` are the chain's path positions from the bottom up, and
     ``states[t]`` is the chain folded up to ``positions[t]``.  ``joined``
-    holds the lifted start state and the state after each chain is
-    joined; the last one, once stripped, is the configuration's state.
+    holds the lifted start state and the state after each chain but the
+    last is joined: ``joined[n]`` is what chain n is joined into.
+    Joining the last chain into ``joined[-1]`` and stripping the result
+    gives the configuration's state.
     """
     cyc, j = step.cycle, step.j
     ws = cyc.path
@@ -202,7 +207,7 @@ def fold_configuration(alg, step, owns, start_state, combine):
             states.append(t)
         chains.append((edge, positions, states))
     joined = [alg.lift(start_state, step, charged=(j == 1 or j == m))]
-    for edge, _positions, states in chains:
+    for edge, _positions, states in chains[:-1]:
         joined.append(combine(joined[-1], states[-1], edge, step))
     return joined, chains
 

@@ -4,6 +4,11 @@ A cactus graph is a connected simple graph in which every edge lies on at
 most one simple cycle.  Vertices carry non-negative integer weights (and
 optional sizes), edges carry optional costs and capacities.  Instances are
 immutable after validation and safe to share between solver runs.
+
+:func:`dfs_tree` is the one depth-first search of the package: validation
+runs it from the first vertex to check that the graph is connected and a
+cactus, and ``tree_rep.build_tree`` runs it from the chosen root to turn
+every cycle into a tree path.
 """
 
 from __future__ import annotations
@@ -145,8 +150,7 @@ def validate_cactus(raw: dict) -> CactusGraph:
         if total > INT64_MAX:
             raise AttributeOverflowError(f"sum of {name} exceeds 64-bit range")
 
-    _check_connected(vertices, neighbours)
-    _check_cactus(vertices, neighbours)
+    dfs_tree(neighbours, vertices[0])  # raises unless connected and a cactus
 
     return CactusGraph(
         vertices=tuple(vertices),
@@ -159,51 +163,58 @@ def validate_cactus(raw: dict) -> CactusGraph:
     )
 
 
-def _check_connected(vertices: list[str], neighbours: dict[str, list[str]]) -> None:
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        v = stack.pop()
-        for w in neighbours[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(vertices):
-        missing = next(v for v in vertices if v not in seen)
-        raise NotConnectedError(f"vertex {missing!r} is not reachable")
+def dfs_tree(adjacency: dict, root: str) -> tuple[dict, dict, list]:
+    """Iterative depth-first search from ``root``: the package's one DFS.
 
+    Neighbours are visited in adjacency order.  Returns ``(parent,
+    children, cycle_paths)``: ``children[v]`` lists v's tree children in
+    discovery order, and each back edge gives a cycle path, the tree path
+    from the cycle's top (the ancestor end) down to the edge's other end,
+    in back-edge order.
 
-def _check_cactus(vertices: list[str], neighbours: dict[str, list[str]]) -> None:
-    # DFS; each back edge closes one fundamental cycle.  Marking the tree
-    # edges of every such cycle detects an edge shared by two cycles.
-    root = vertices[0]
+    Raises :class:`NotConnectedError` naming the first vertex of
+    ``adjacency`` not reached, and then :class:`NotCactusError` if a
+    vertex lies below the top of two cycle paths (its tree edge to its
+    parent is then on two cycles).
+    """
     parent: dict[str, str | None] = {root: None}
     depth = {root: 0}
-    on_cycle: set[Edge] = set()
-    order: list[str] = []
-    stack: list[tuple[str, iter]] = [(root, iter(neighbours[root]))]
+    children: dict[str, list[str]] = {v: [] for v in adjacency}
+    cycle_paths: list[tuple[str, ...]] = []
+    below_top: set[str] = set()  # vertices below the top of a cycle path
+    shared = None  # first tree edge seen on two cycles
+    stack = [(root, iter(adjacency[root]))]
     while stack:
         v, it = stack[-1]
-        advanced = False
         for w in it:
             if w not in depth:
                 parent[w] = v
                 depth[w] = depth[v] + 1
-                stack.append((w, iter(neighbours[w])))
-                advanced = True
+                children[v].append(w)
+                stack.append((w, iter(adjacency[w])))
                 break
-            if w != parent[v] and depth[w] < depth[v]:
-                # back edge (v, w): walk the tree path marking cycle edges
-                cur = v
-                while cur != w:
-                    key = edge_key(cur, parent[cur])
-                    if key in on_cycle:
-                        raise NotCactusError(f"edge {key!r} lies on two cycles")
-                    on_cycle.add(key)
-                    cur = parent[cur]
-        if not advanced:
-            order.append(v)
+            if w != parent[v] and depth[w] < depth[v] and shared is None:
+                # back edge: the tree path from w down to v is a cycle path
+                # (none is built once the graph is known not to be a cactus:
+                # on a dense graph that would take vertices x edges time)
+                path = [v]
+                while path[-1] != w:
+                    node = path[-1]
+                    if node in below_top:
+                        shared = edge_key(node, parent[node])
+                        break
+                    below_top.add(node)
+                    path.append(parent[node])
+                path.reverse()
+                cycle_paths.append(tuple(path))
+        else:
             stack.pop()
+    if len(parent) != len(adjacency):
+        missing = next(v for v in adjacency if v not in parent)
+        raise NotConnectedError(f"vertex {missing!r} is not reachable")
+    if shared is not None:
+        raise NotCactusError(f"edge {shared!r} lies on two cycles")
+    return parent, children, cycle_paths
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,17 @@ Two structural facts make the downstream dynamic programs work:
 * if a node lies strictly inside a cycle path, its on-cycle child is
   placed last among its children.
 
-Both are established here, right after the DFS.
+Both are established here, right after the DFS, which is
+``graph_model.dfs_tree``, the same search that validated the graph.
+:func:`as_tree` lets an entry point take either a graph or a tree built
+once for several solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph_model import CactusGraph, Edge, edge_key
+from .graph_model import CactusGraph, Edge, dfs_tree, edge_key
 
 
 @dataclass(frozen=True)
@@ -101,46 +104,15 @@ def build_tree(graph: CactusGraph, root: str | None = None) -> CactusTree:
     elif root not in graph.weight:
         raise ValueError(f"root {root!r} is not a vertex")
 
-    parent: dict[str, str | None] = {root: None}
-    depth = {root: 0}
-    children: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    raw_cycles: list[tuple[str, ...]] = []
-
-    stack: list[tuple[str, iter]] = [(root, iter(graph.adjacency[root]))]
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w not in depth:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                children[v].append(w)
-                stack.append((w, iter(graph.adjacency[w])))
-                advanced = True
-                break
-            if w != parent[v] and depth[w] < depth[v]:
-                # back edge: the tree path from w down to v is a cycle path
-                path = [v]
-                cur = v
-                while cur != w:
-                    cur = parent[cur]
-                    path.append(cur)
-                path.reverse()
-                raw_cycles.append(tuple(path))
-        if not advanced:
-            stack.pop()
+    parent, children, raw_cycles = dfs_tree(graph.adjacency, root)
 
     # Remark-style reordering: inside each cycle path, move the on-cycle
     # child to the last position.  A node can be a non-start member of at
-    # most one cycle, so the reorderings never conflict.
+    # most one cycle (``dfs_tree`` checks it), so the reorderings never
+    # conflict.
     on_cycle_child: dict[str, str] = {}
     for path in raw_cycles:
-        for i in range(1, len(path) - 1):
-            node, nxt = path[i], path[i + 1]
-            if node in on_cycle_child:
-                raise AssertionError(
-                    f"node {node!r} is a non-start member of two cycles"
-                )
+        for node, nxt in zip(path[1:-1], path[2:]):
             on_cycle_child[node] = nxt
             kids = children[node]
             kids.remove(nxt)
@@ -170,6 +142,12 @@ def build_tree(graph: CactusGraph, root: str | None = None) -> CactusTree:
         on_cycle_child=on_cycle_child,
         cycle_at=cycle_at,
     )
+
+
+def as_tree(graph: CactusGraph | CactusTree, root: str | None = None) -> CactusTree:
+    """``graph`` itself if it is a :class:`CactusTree` (``root`` is then
+    ignored), otherwise ``build_tree(graph, root)``."""
+    return graph if isinstance(graph, CactusTree) else build_tree(graph, root)
 
 
 def configuration_edges(cycle: CycleRecord, j: int) -> tuple[Edge | None, Edge | None]:

@@ -22,6 +22,9 @@ payloads:
   and one assuming it is not, in which case no further cuts may happen on
   that cycle.  The phases of the two path chains must agree when they
   meet at the start node.
+
+Every entry point takes a graph or a ``CactusTree`` built from one (its
+``root`` argument is then ignored), so one tree can serve several solves.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .backtrack import annotate, collect_cuts, reconstruct
-from .dp_core import ProblemParams, run_tree_dp, state_cells
+from .dp_core import ProblemParams, run_tree_dp, state_cells, trivially_infeasible
 from .errors import InvalidParamsError
-from .graph_model import CactusGraph, Partition, canonicalize_partition
-from .tree_rep import build_tree
+from .graph_model import canonicalize_partition
+from .tree_rep import as_tree
 
 
 def _key_order(key):
@@ -68,20 +71,13 @@ def max_partition(graph, lower, upper, root=None, algorithm="interval", stats=No
 
 
 def _extreme_partition(graph, lower, upper, root, algorithm, minimize, stats=None):
-    params = ProblemParams(lower, upper, graph.num_vertices)
-    if graph.max_weight > upper:
+    tree = as_tree(graph, root)
+    params = ProblemParams(lower, upper, tree.graph.num_vertices)
+    if trivially_infeasible(tree.graph, params):
         return None
-    run = annotate(graph, params, algorithm, root)
+    run = annotate(tree, params, algorithm)
     _record_cells(stats, run.states, algorithm)
-
-    if algorithm == "interval":
-        feasible = [
-            k
-            for k, entries in run.root_state.items()
-            if any(e.intersects(lower, upper) for e in entries)
-        ]
-    else:
-        feasible = [k for (x, k) in run.root_state if lower <= x <= upper]
+    feasible = run.feasible_counts()
     if not feasible:
         return None
     count = min(feasible) if minimize else max(feasible)
@@ -188,11 +184,11 @@ def min_cost_partition(
     ``num_clusters`` given, only partitions of exactly that size count.
     Returns ``(cost, partition)`` or None.
     """
+    tree = as_tree(graph, root)
+    graph = tree.graph
     count_cap = graph.num_vertices if num_clusters is None else num_clusters
-    ProblemParams(lower, upper, count_cap)  # validates the bounds
-    if graph.max_weight > upper or count_cap > graph.num_vertices:
+    if trivially_infeasible(graph, ProblemParams(lower, upper, count_cap)):
         return None
-    tree = build_tree(graph, root)
     alg = CostAlgebra(graph, lower, upper, count_cap, reduce_sets)
     states = run_tree_dp(tree, alg)
     _record_cells(stats, states)
@@ -273,8 +269,9 @@ class SizeWeightAlgebra:
         return out
 
 
-def _size_weight_solve(graph, lower, upper, count, bound, maximize, root, stats=None):
-    tree = build_tree(graph, root)
+def _size_weight_solve(graph, lower, upper, count, bound, maximize, root=None, stats=None):
+    tree = as_tree(graph, root)
+    graph = tree.graph
     alg = SizeWeightAlgebra(graph, lower, upper, count, bound, maximize)
     states = run_tree_dp(tree, alg)
     _record_cells(stats, states)
@@ -299,19 +296,22 @@ def minmax_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     Returns ``(weight, partition)`` or None.  The optimal weight is found
     by binary search: allowing a heavier heaviest cluster only ever helps,
     so feasibility is monotone in the probed bound.  The search ends on a
-    bound already probed feasible, whose partition is returned.
+    bound already probed feasible, whose partition is returned.  Every
+    probe runs on the same tree.
     """
     ProblemParams(lower, upper, num_clusters)
+    tree = as_tree(graph, root)
+    graph = tree.graph
     if num_clusters > graph.num_vertices or max(graph.size.values()) > upper:
         return None
     lo = max(graph.weight.values())
     hi = graph.total_weight
-    best = _size_weight_solve(graph, lower, upper, num_clusters, hi, False, root, stats)
+    best = _size_weight_solve(tree, lower, upper, num_clusters, hi, False, stats=stats)
     if best is None:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
-        found = _size_weight_solve(graph, lower, upper, num_clusters, mid, False, root, stats)
+        found = _size_weight_solve(tree, lower, upper, num_clusters, mid, False, stats=stats)
         if found is not None:
             hi, best = mid, found
         else:
@@ -323,16 +323,18 @@ def maxmin_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     """Same setting as :func:`minmax_partition` but maximising the weight
     of the lightest cluster."""
     ProblemParams(lower, upper, num_clusters)
+    tree = as_tree(graph, root)
+    graph = tree.graph
     if num_clusters > graph.num_vertices or max(graph.size.values()) > upper:
         return None
     lo = 0
     hi = graph.total_weight
-    best = _size_weight_solve(graph, lower, upper, num_clusters, lo, True, root, stats)
+    best = _size_weight_solve(tree, lower, upper, num_clusters, lo, True, stats=stats)
     if best is None:
         return None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        found = _size_weight_solve(graph, lower, upper, num_clusters, mid, True, root, stats)
+        found = _size_weight_solve(tree, lower, upper, num_clusters, mid, True, stats=stats)
         if found is not None:
             lo, best = mid, found
         else:
@@ -452,12 +454,13 @@ def capacity_partition(
     """
     if objective not in ("min", "max"):
         raise InvalidParamsError(f"objective must be 'min' or 'max', got {objective!r}")
-    ProblemParams(weight_lower, weight_upper, 1)
+    params = ProblemParams(weight_lower, weight_upper, 1)
     if not isinstance(capacity_upper, int) or capacity_upper < 0:
         raise InvalidParamsError("capacity bound must be a non-negative integer")
-    if graph.max_weight > weight_upper:
+    tree = as_tree(graph, root)
+    graph = tree.graph
+    if trivially_infeasible(graph, params):
         return None
-    tree = build_tree(graph, root)
     alg = CapacityAlgebra(graph, weight_lower, weight_upper, capacity_upper)
     states = run_tree_dp(tree, alg)
     _record_cells(stats, states)

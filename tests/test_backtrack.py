@@ -239,3 +239,34 @@ def test_witness_reads_add_no_combine(algorithm, monkeypatch):
             assert len(calls) == dp_calls_p
             walked += 1
     assert walked >= 60
+
+
+@pytest.mark.parametrize("algorithm", ["tupleset", "interval"])
+def test_witness_refold_skips_the_final_join(algorithm, monkeypatch):
+    """A witness walk reads every joined state but the configuration's
+    last, so refolding one configuration of an m-cycle joins m - 2 times."""
+    m = 10
+    g = graph_from({f"r{i}": 1 for i in range(m)}, [(f"r{i}", f"r{(i + 1) % m}") for i in range(m)])
+    calls = []
+    for cls in (MaskAlgebra, IntervalAlgebra):
+        def counted(self, a, b, edge, step, _join=cls.join_states):
+            calls.append(step.j)
+            return _join(self, a, b, edge, step)
+
+        monkeypatch.setattr(cls, "join_states", counted)
+    run = annotate(g, ProblemParams(2, 2, 5), algorithm)
+    assert reconstruct(run).num_clusters == 5
+    assert len(calls) == m - 2 and len(set(calls)) == 1
+
+
+def test_feasible_counts_agree_across_engines():
+    for seed in range(60):
+        g = random_graph(seed, n=10, cycle_density=0.6)
+        lower, upper = seed % 4, max(seed % 4 + 3, g.max_weight)
+        params = ProblemParams(lower, upper, g.num_vertices)
+        counts = annotate(g, params, "tupleset").feasible_counts()
+        assert annotate(g, params, "interval").feasible_counts() == counts
+        assert counts == {
+            k for k in range(1, g.num_vertices + 1)
+            if decide_p_partition(g, ProblemParams(lower, upper, k))
+        }

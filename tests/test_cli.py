@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from cactus_partition import validate_cactus
+from cactus_partition import tree_rep, validate_cactus
 from cactus_partition.cli import run
 
 from util import random_graph
@@ -193,3 +194,22 @@ def test_gen_single_vertex(capsys):
     assert run(["gen", "-n", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["vertices"]) == 1 and doc["edges"] == []
+
+
+@pytest.mark.parametrize("variant", ["minmax", "maxmin", "min", "solve"])
+def test_one_tree_per_request(variant, graph_file, capsys, monkeypatch):
+    build = tree_rep.build_tree
+    calls = []
+
+    def counted(graph, root=None):
+        calls.append(root)
+        return build(graph, root)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cactus_partition" and getattr(module, "build_tree", None) is build:
+            monkeypatch.setattr(module, "build_tree", counted)
+    doc = random_graph(4, n=14, cycle_density=0.6, size_range=(1, 3)).to_data()
+    flags = ["-l", "0", "-u", "12"] + ([] if variant == "min" else ["-p", "3"])
+    code, result = _solve(capsys, "--variant", variant, *flags, graph_file(doc))
+    assert code == 0 and result["feasible"]
+    assert len(calls) == 1

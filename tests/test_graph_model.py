@@ -49,9 +49,21 @@ def test_parallel_edge_rejected():
         graph_from({"a": 1, "b": 1}, [("a", "b"), ("b", "a")])
 
 
-def test_disconnected_rejected():
+_K4 = [(u, v) for i, u in enumerate("abcd") for v in "abcd"[i + 1 :]]
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        ("abc", [("a", "b")]),
+        # the reachable part is not a cactus either; connectivity is checked first
+        ("abcde", _K4),
+    ],
+    ids=["path-and-isolated-vertex", "k4-and-isolated-vertex"],
+)
+def test_disconnected_rejected(vertices, edges):
     with pytest.raises(NotConnectedError):
-        graph_from({"a": 1, "b": 1, "c": 1}, [("a", "b")])
+        graph_from({v: 1 for v in vertices}, edges)
 
 
 def test_negative_weight_rejected():
@@ -121,3 +133,10 @@ def test_clusters_partition_the_vertices(seed, data):
     seen = [v for cluster in part.clusters for v in cluster]
     assert sorted(seen) == sorted(g.vertices)
     assert len(seen) == len(set(seen))
+
+
+def test_shared_cycle_edge_is_named():
+    # two triangles on the edge (b, c): the DFS from a puts it on both cycle paths
+    edges = [("a", "b"), ("b", "c"), ("a", "c"), ("b", "d"), ("c", "d")]
+    with pytest.raises(NotCactusError, match=r"edge \('b', 'c'\) lies on two cycles"):
+        graph_from({v: 1 for v in "abcd"}, edges)

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cactus_partition import (
+    build_tree,
     capacity_partition,
     enumerate_all,
     max_partition,
@@ -17,6 +18,7 @@ from cactus_partition import (
     oracle_min_cost,
     oracle_minmax,
 )
+from cactus_partition import tree_rep
 from cactus_partition.variants import _size_weight_solve
 
 from util import graph_from, path, random_graph, triangle
@@ -225,3 +227,50 @@ def test_weighted_variants_match_oracle(seed, lower, span, p):
     if got is not None:
         assert got[0] == expected[0]
         assert all(c <= cap for c in got[1].capacities)
+
+
+def _count_tree_builds(monkeypatch):
+    """Count ``build_tree`` calls made through ``tree_rep.as_tree``."""
+    calls = []
+    build = tree_rep.build_tree
+
+    def counted(graph, root=None):
+        calls.append(root)
+        return build(graph, root)
+
+    monkeypatch.setattr(tree_rep, "build_tree", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fn", [minmax_partition, maxmin_partition])
+def test_size_weight_search_builds_one_tree(fn, monkeypatch):
+    calls = _count_tree_builds(monkeypatch)
+    g = random_graph(3, n=12, cycle_density=0.6, size_range=(1, 3))
+    result = fn(g, 0, sum(g.size.values()), 3)
+    assert result is not None
+    assert len(calls) == 1
+
+
+def test_entry_points_accept_a_tree(monkeypatch):
+    solves = [
+        lambda g: min_partition(g, 1, 6),
+        lambda g: max_partition(g, 1, 6, algorithm="tupleset"),
+        lambda g: min_cost_partition(g, 1, 6),
+        lambda g: minmax_partition(g, 0, 12, 2),
+        lambda g: maxmin_partition(g, 0, 12, 2),
+        lambda g: capacity_partition(g, 1, 8, 9, objective="max"),
+    ]
+    calls = _count_tree_builds(monkeypatch)
+    answered = 0
+    for seed in range(6):
+        g = random_graph(seed, n=9, cycle_density=0.6, size_range=(1, 3),
+                         cost_range=(0, 5), capacity_range=(0, 3))
+        tree = build_tree(g)
+        for solve in solves:
+            del calls[:]
+            got = solve(tree)
+            assert calls == []
+            assert got == solve(g)
+            assert len(calls) == 1
+            answered += got is not None
+    assert answered >= 20

@@ -183,7 +183,9 @@ def _run_solve(args) -> int:
     try:
         with open(args.graph, encoding="utf-8") as handle:
             document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or undecodable bytes; RecursionError: nesting
+        # deeper than the decoder handles
         print(f"error: cannot read graph: {exc}", file=sys.stderr)
         return 3
     try:

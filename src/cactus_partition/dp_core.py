@@ -232,14 +232,24 @@ class MaskAlgebra:
     (x, k) is achievable.  The merge branch of the combination becomes a
     batch of shift-or operations, which keeps the pseudo-polynomial
     solver fast for large weight bounds.
+
+    Cost rule: a merge of counts k1 and k2 shifts the denser of the two
+    masks once per set bit of the sparser one (ties shift the parent), so
+    a one-vertex parent costs one shift whatever the child holds.  Each
+    mask's bits are listed at most once per ``combine`` call.
+
+    Mask width: masks keep bits 0..min(upper, W), W the graph's total
+    weight.  No cluster outweighs the graph, so this truncates nothing,
+    and a huge ``upper`` costs no memory.
     """
 
     def __init__(self, graph: CactusGraph, params: ProblemParams):
         self.graph = graph
         self.p = params.num_clusters
-        self.full_mask = (1 << (params.upper + 1)) - 1
-        low = (1 << params.lower) - 1
-        self.window_mask = self.full_mask ^ low
+        top = min(params.upper, graph.total_weight)
+        self.full_mask = (1 << (top + 1)) - 1
+        # clears the bits below ``lower`` without building a lower-wide mask
+        self.window_mask = self.full_mask >> params.lower << params.lower
 
     def base(self, v):
         return {1: 1 << self.graph.weight[v]}
@@ -249,20 +259,35 @@ class MaskAlgebra:
         p = self.p
         window = self.window_mask
         full = self.full_mask
+        a_bits = None  # bits of a's masks by count, listed on first use
         for k2, mb in b.items():
             if mb & window:
                 for k1, ma in a.items():
                     k = k1 + k2
                     if k <= p:
                         out[k] = out.get(k, 0) | ma
-            shifts = _mask_values(mb)
+            # The merge sums {x1 + x2} are the same whichever operand is
+            # shifted, so shift the denser mask by the sparser one's bits.
+            nb = mb.bit_count()
+            b_bits = None
             for k1, ma in a.items():
                 k = k1 + k2 - 1
                 if k > p:
                     continue
                 acc = 0
-                for x2 in shifts:
-                    acc |= ma << x2
+                if nb <= ma.bit_count():
+                    if b_bits is None:
+                        b_bits = _mask_values(mb)
+                    for x2 in b_bits:
+                        acc |= ma << x2
+                else:
+                    if a_bits is None:
+                        a_bits = {}
+                    bits = a_bits.get(k1)
+                    if bits is None:
+                        bits = a_bits[k1] = _mask_values(ma)
+                    for x1 in bits:
+                        acc |= mb << x1
                 acc &= full
                 if acc:
                     out[k] = out.get(k, 0) | acc

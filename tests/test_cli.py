@@ -159,6 +159,19 @@ def test_input_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [b"\xff{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_undecodable_document_exit_3(tmp_path, capsys, content):
+    target = tmp_path / "graph.json"
+    target.write_bytes(content)
+    assert run(["solve", "--variant", "min", "-l", "0", "-u", "1", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot read graph" in captured.err
+
+
+@pytest.mark.parametrize(
     "document",
     [
         {"vertices": [{"weight": 1}]},

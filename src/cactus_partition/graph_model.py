@@ -6,9 +6,10 @@ optional sizes), edges carry optional costs and capacities.  Instances are
 immutable after validation and safe to share between solver runs.
 
 :func:`dfs_tree` is the one depth-first search of the package: validation
-runs it from the first vertex to check that the graph is connected and a
-cactus, and ``tree_rep.build_tree`` runs it from the chosen root to turn
-every cycle into a tree path.
+runs it from the default root (the smallest vertex id) to check that the
+graph is connected and a cactus, and keeps the result, which
+``tree_rep.build_tree`` reuses to turn every cycle into a tree path.  A
+tree for any other root runs its own search.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ class CactusGraph:
     cost: dict[Edge, int]
     capacity: dict[Edge, int]
     adjacency: dict[str, tuple[str, ...]] = field(repr=False)
+    # dfs_tree(adjacency, min(vertices)), the default root's search
+    dfs: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -150,7 +153,15 @@ def validate_cactus(raw: dict) -> CactusGraph:
         if total > INT64_MAX:
             raise AttributeOverflowError(f"sum of {name} exceeds 64-bit range")
 
-    dfs_tree(neighbours, vertices[0])  # raises unless connected and a cactus
+    adjacency = {v: tuple(ns) for v, ns in neighbours.items()}
+    try:
+        dfs = dfs_tree(adjacency, min(vertices))
+    except (NotConnectedError, NotCactusError):
+        dfs = None
+    if dfs is None:
+        # the error names what a search from the first vertex meets first,
+        # whichever vertex is the default root
+        dfs_tree(adjacency, vertices[0])
 
     return CactusGraph(
         vertices=tuple(vertices),
@@ -159,7 +170,8 @@ def validate_cactus(raw: dict) -> CactusGraph:
         size=size,
         cost=cost,
         capacity=capacity,
-        adjacency={v: tuple(ns) for v, ns in neighbours.items()},
+        adjacency=adjacency,
+        dfs=dfs,
     )
 
 

@@ -12,7 +12,8 @@ Two structural facts make the downstream dynamic programs work:
   placed last among its children.
 
 Both are established here, right after the DFS, which is
-``graph_model.dfs_tree``, the same search that validated the graph.
+``graph_model.dfs_tree``: for the default root, the very search that
+validated the graph, kept on it.
 :func:`as_tree` lets an entry point take either a graph or a tree built
 once for several solves.
 """
@@ -95,28 +96,32 @@ def build_tree(graph: CactusGraph, root: str | None = None) -> CactusTree:
     """Build the rooted tree representation of ``graph``.
 
     The default root is the lexicographically smallest vertex id, which
-    keeps trees (and therefore reconstructed partitions) deterministic.
+    keeps trees (and therefore reconstructed partitions) deterministic;
+    its DFS is the one ``validate_cactus`` ran and kept on the graph.
     Children follow the input adjacency order except for the on-cycle
     reordering described in the module docstring.
     """
+    default = min(graph.vertices)
     if root is None:
-        root = min(graph.vertices)
+        root = default
     elif root not in graph.weight:
         raise ValueError(f"root {root!r} is not a vertex")
-
-    parent, children, raw_cycles = dfs_tree(graph.adjacency, root)
+    if root == default and graph.dfs is not None:
+        parent, children, raw_cycles = graph.dfs
+    else:
+        parent, children, raw_cycles = dfs_tree(graph.adjacency, root)
 
     # Remark-style reordering: inside each cycle path, move the on-cycle
     # child to the last position.  A node can be a non-start member of at
     # most one cycle (``dfs_tree`` checks it), so the reorderings never
-    # conflict.
+    # conflict.  The DFS result may be the graph's own, so it is copied,
+    # not changed.
+    children = dict(children)
     on_cycle_child: dict[str, str] = {}
     for path in raw_cycles:
         for node, nxt in zip(path[1:-1], path[2:]):
             on_cycle_child[node] = nxt
-            kids = children[node]
-            kids.remove(nxt)
-            kids.append(nxt)
+            children[node] = [c for c in children[node] if c != nxt] + [nxt]
 
     cycles = []
     cycle_at: dict[tuple[str, int], CycleRecord] = {}

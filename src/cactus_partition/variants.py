@@ -14,7 +14,8 @@ payloads:
 * min-max / max-min weight with vertex sizes: sizes take the role of the
   bounded quantity, tuples carry the weight of the cluster around the
   subtree root, and a binary search over the weight bound finds the
-  optimum;
+  optimum, moving the bound after every feasible probe to the weight the
+  probe's partition really reaches;
 * capacity-bounded clusters: tuples carry the capacity already committed
   to the cluster around the subtree root.  Inside a cycle every tuple is
   forked into two phases, one assuming the configuration's absent edge is
@@ -29,6 +30,7 @@ Every entry point takes a graph or a ``CactusTree`` built from one (its
 
 from __future__ import annotations
 
+import operator
 from dataclasses import replace
 
 from .backtrack import annotate, collect_cuts, reconstruct
@@ -36,14 +38,6 @@ from .dp_core import ProblemParams, run_tree_dp, state_cells, trivially_infeasib
 from .errors import InvalidParamsError
 from .graph_model import canonicalize_partition
 from .tree_rep import as_tree
-
-
-def _key_order(key):
-    return tuple(-1 if part is None else part for part in key)
-
-
-def _sorted_items(state):
-    return sorted(state.items(), key=lambda kv: _key_order(kv[0]))
 
 
 def _record_cells(stats, states, algorithm=None):
@@ -106,8 +100,7 @@ class CostAlgebra:
 
     def _put(self, out, key, cost, rec):
         if not self.reduce_sets:
-            out.setdefault(key + (cost,), (cost, rec))
-            return
+            key += (cost,)
         cur = out.get(key)
         if cur is None or cost < cur[0]:
             out[key] = (cost, rec)
@@ -117,41 +110,51 @@ class CostAlgebra:
         return {key: (0, ("leaf", v))}
 
     def combine(self, a, b, edge, step):
+        # _put inlined: a candidate's record is built only when it is stored
         edge_cost = self.graph.cost[edge]
+        lower, upper, count_cap = self.lower, self.upper, self.count_cap
+        keyed_by_cost = not self.reduce_sets
         in_cycle = step is not None
         out: dict = {}
-        a_items = _sorted_items(a)
-        for bkey, (c2, _recb) in _sorted_items(b):
+        a_items = sorted(a.items())
+        for bkey, (c2, _recb) in sorted(b.items()):
             x2, k2 = bkey[0], bkey[1]
             b2 = bkey[2] if in_cycle else 0
-            cut_ok = x2 >= self.lower
+            cut_ok = x2 >= lower
             for akey, (c1, _reca) in a_items:
                 x1, k1 = akey[0], akey[1]
-                b1 = akey[2] if in_cycle else 0
-                if cut_ok and k1 + k2 <= self.count_cap:
+                if cut_ok and k1 + k2 <= count_cap:
+                    cost = c1 + c2 + edge_cost
                     key = (x1, k1 + k2, 1) if in_cycle else (x1, k1 + k2)
-                    rec = ("step", "cut", a, akey, b, bkey, edge)
-                    self._put(out, key, c1 + c2 + edge_cost, rec)
-                if x1 + x2 <= self.upper and k1 + k2 - 1 <= self.count_cap:
+                    if keyed_by_cost:
+                        key += (cost,)
+                    cur = out.get(key)
+                    if cur is None or cost < cur[0]:
+                        out[key] = (cost, ("step", "cut", a, akey, b, bkey, edge))
+                if x1 + x2 <= upper and k1 + k2 - 1 <= count_cap:
+                    cost = c1 + c2
                     key = (
-                        (x1 + x2, k1 + k2 - 1, b1 | b2)
+                        (x1 + x2, k1 + k2 - 1, akey[2] | b2)
                         if in_cycle
                         else (x1 + x2, k1 + k2 - 1)
                     )
-                    rec = ("step", "merge", a, akey, b, bkey, edge)
-                    self._put(out, key, c1 + c2, rec)
+                    if keyed_by_cost:
+                        key += (cost,)
+                    cur = out.get(key)
+                    if cur is None or cost < cur[0]:
+                        out[key] = (cost, ("step", "merge", a, akey, b, bkey, edge))
         return out
 
     def lift(self, state, step, charged):
         out: dict = {}
-        for key, (cost, _rec) in _sorted_items(state):
+        for key, (cost, _rec) in sorted(state.items()):
             self._put(out, (key[0], key[1], 0), cost, ("lift", state, key))
         return out
 
     def strip(self, state, step):
         absent_cost = self.graph.cost[step.absent_edge]
         out: dict = {}
-        for key, (cost, _rec) in _sorted_items(state):
+        for key, (cost, _rec) in sorted(state.items()):
             x, k, flag = key[0], key[1], key[2]
             self._put(
                 out,
@@ -164,7 +167,7 @@ class CostAlgebra:
     def union_configs(self, configs, cycle):
         out: dict = {}
         for j, step, state in configs:
-            for key, (cost, _rec) in _sorted_items(state):
+            for key, (cost, _rec) in sorted(state.items()):
                 self._put(
                     out,
                     (key[0], key[1]) if not self.reduce_sets else key,
@@ -195,7 +198,7 @@ def min_cost_partition(
     root_state = states[(tree.root, tree.full_index(tree.root))]
 
     best = None
-    for key, (cost, _rec) in _sorted_items(root_state):
+    for key, (cost, _rec) in sorted(root_state.items()):
         x, k = key[0], key[1]
         if not lower <= x <= upper:
             continue
@@ -230,29 +233,39 @@ class SizeWeightAlgebra:
         self.count = count
         self.bound = bound
         self.maximize = maximize
+        self._better = operator.gt if maximize else operator.lt
 
     def _put(self, out, key, weight, rec):
         cur = out.get(key)
-        if cur is None or (weight > cur[0] if self.maximize else weight < cur[0]):
+        if cur is None or self._better(weight, cur[0]):
             out[key] = (weight, rec)
 
     def base(self, v):
         return {(self.graph.size[v], 1): (self.graph.weight[v], ("leaf", v))}
 
     def combine(self, a, b, edge, step):
+        # _put inlined: a candidate's record is built only when it is stored
+        lower, upper, count, bound = self.lower, self.upper, self.count, self.bound
+        maximize, better = self.maximize, self._better
         out: dict = {}
-        a_items = _sorted_items(a)
-        for (x2, k2), (y2, _recb) in _sorted_items(b):
-            cut_ok = x2 >= self.lower and (not self.maximize or y2 >= self.bound)
-            for (x1, k1), (y1, _reca) in a_items:
-                if cut_ok and k1 + k2 <= self.count:
-                    rec = ("step", "cut", a, (x1, k1), b, (x2, k2), edge)
-                    self._put(out, (x1, k1 + k2), y1, rec)
-                if x1 + x2 <= self.upper and k1 + k2 - 1 <= self.count:
+        a_items = sorted(a.items())
+        for bkey, (y2, _recb) in sorted(b.items()):
+            x2, k2 = bkey
+            cut_ok = x2 >= lower and (not maximize or y2 >= bound)
+            for akey, (y1, _reca) in a_items:
+                x1, k1 = akey
+                if cut_ok and k1 + k2 <= count:
+                    key = (x1, k1 + k2)
+                    cur = out.get(key)
+                    if cur is None or better(y1, cur[0]):
+                        out[key] = (y1, ("step", "cut", a, akey, b, bkey, edge))
+                if x1 + x2 <= upper and k1 + k2 - 1 <= count:
                     y = y1 + y2
-                    if self.maximize or y <= self.bound:
-                        rec = ("step", "merge", a, (x1, k1), b, (x2, k2), edge)
-                        self._put(out, (x1 + x2, k1 + k2 - 1), y, rec)
+                    if maximize or y <= bound:
+                        key = (x1 + x2, k1 + k2 - 1)
+                        cur = out.get(key)
+                        if cur is None or better(y, cur[0]):
+                            out[key] = (y, ("step", "merge", a, akey, b, bkey, edge))
         return out
 
     def lift(self, state, step, charged):
@@ -264,7 +277,7 @@ class SizeWeightAlgebra:
     def union_configs(self, configs, cycle):
         out: dict = {}
         for j, step, state in configs:
-            for key, (y, _rec) in _sorted_items(state):
+            for key, (y, _rec) in sorted(state.items()):
                 self._put(out, key, y, ("cfg", j, step.absent_edge, state, key))
         return out
 
@@ -278,7 +291,7 @@ def _size_weight_solve(graph, lower, upper, count, bound, maximize, root=None, s
     root_state = states[(tree.root, tree.full_index(tree.root))]
     options = [
         (x, k)
-        for (x, k), (y, _rec) in _sorted_items(root_state)
+        for (x, k), (y, _rec) in sorted(root_state.items())
         if k == count
         and lower <= x <= upper
         and (y >= bound if maximize else True)
@@ -295,25 +308,32 @@ def minmax_partition(graph, lower, upper, num_clusters, root=None, stats=None):
 
     Returns ``(weight, partition)`` or None.  The optimal weight is found
     by binary search: allowing a heavier heaviest cluster only ever helps,
-    so feasibility is monotone in the probed bound.  The search ends on a
-    bound already probed feasible, whose partition is returned.  Every
-    probe runs on the same tree.
+    so feasibility is monotone in the probed bound.  The bracket starts at
+    ``[max(max weight, ceil(W / p)), W]``: some cluster holds the heaviest
+    vertex, and one of ``p`` clusters weighing ``W`` in total weighs at
+    least ``W / p``.  The first probe, at ``W``, tells whether any
+    partition exists.  After every feasible probe the upper end jumps to
+    the heaviest cluster of the partition that probe returned, a weight
+    that is reached, often well below the probed bound.  The search ends
+    with the bracket on one value, the weight of the partition returned.
+    Every probe runs on the same tree.
     """
     ProblemParams(lower, upper, num_clusters)
     tree = as_tree(graph, root)
     graph = tree.graph
     if num_clusters > graph.num_vertices or max(graph.size.values()) > upper:
         return None
-    lo = max(graph.weight.values())
-    hi = graph.total_weight
-    best = _size_weight_solve(tree, lower, upper, num_clusters, hi, False, stats=stats)
+    total = graph.total_weight
+    lo = max(graph.max_weight, -(-total // num_clusters))
+    best = _size_weight_solve(tree, lower, upper, num_clusters, total, False, stats=stats)
     if best is None:
         return None
+    hi = best.max_weight()
     while lo < hi:
         mid = (lo + hi) // 2
         found = _size_weight_solve(tree, lower, upper, num_clusters, mid, False, stats=stats)
         if found is not None:
-            hi, best = mid, found
+            hi, best = found.max_weight(), found
         else:
             lo = mid + 1
     return lo, best
@@ -321,22 +341,29 @@ def minmax_partition(graph, lower, upper, num_clusters, root=None, stats=None):
 
 def maxmin_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     """Same setting as :func:`minmax_partition` but maximising the weight
-    of the lightest cluster."""
+    of the lightest cluster.
+
+    The bracket is ``[0, floor(W / p)]``, since the lightest of ``p``
+    clusters weighs at most their mean.  The first probe, at bound 0,
+    tells whether any partition exists; it and every feasible probe after
+    it move the lower end up to the lightest cluster of the partition
+    they returned.
+    """
     ProblemParams(lower, upper, num_clusters)
     tree = as_tree(graph, root)
     graph = tree.graph
     if num_clusters > graph.num_vertices or max(graph.size.values()) > upper:
         return None
-    lo = 0
-    hi = graph.total_weight
-    best = _size_weight_solve(tree, lower, upper, num_clusters, lo, True, stats=stats)
+    hi = graph.total_weight // num_clusters
+    best = _size_weight_solve(tree, lower, upper, num_clusters, 0, True, stats=stats)
     if best is None:
         return None
+    lo = best.min_weight()
     while lo < hi:
         mid = (lo + hi + 1) // 2
         found = _size_weight_solve(tree, lower, upper, num_clusters, mid, True, stats=stats)
         if found is not None:
-            lo, best = mid, found
+            lo, best = found.min_weight(), found
         else:
             hi = mid - 1
     return lo, best
@@ -353,10 +380,10 @@ class CapacityAlgebra:
     cutting an edge charges both sides.  Cycle keys carry a phase: 1 when
     the configuration's absent edge is treated as cut (both of its end
     clusters were charged when the chains were seeded), 0 when it is not,
-    which forbids any further cut on the cycle.  Merging tuples from
-    opposite phases would mix inconsistent assumptions, so it is blocked;
-    a tuple with no phase yet (a plain subtree hanging off the cycle)
-    adopts its partner's.
+    which forbids any further cut on the cycle, and -1 for a tuple with no
+    phase yet (a plain subtree hanging off the cycle), which adopts its
+    partner's.  Merging tuples from opposite phases would mix inconsistent
+    assumptions, so it is blocked.
     """
 
     def __init__(self, graph, weight_lower, weight_upper, capacity_upper):
@@ -375,47 +402,44 @@ class CapacityAlgebra:
         return {(self.graph.weight[v], 1): (0, ("leaf", v))}
 
     def combine(self, a, b, edge, step):
+        # _put inlined: a candidate's record is built only when it is stored
         edge_cap = self.graph.capacity[edge]
         cap_max = self.capacity_upper
+        lower, upper, count_cap = self.weight_lower, self.weight_upper, self.count_cap
         in_cycle = step is not None
         out: dict = {}
-        a_items = _sorted_items(a)
-        for bkey, (y2, _recb) in _sorted_items(b):
+        a_items = sorted(a.items())
+        for bkey, (y2, _recb) in sorted(b.items()):
             x2, k2 = bkey[0], bkey[1]
-            b2 = bkey[2] if in_cycle else None
-            cut_weight_ok = x2 >= self.weight_lower and y2 + edge_cap <= cap_max
+            b2 = bkey[2] if in_cycle else -1
+            # phase 0 forbids cuts on the cycle
+            cut_ok = x2 >= lower and y2 + edge_cap <= cap_max and b2 != 0
             for akey, (y1, _reca) in a_items:
                 x1, k1 = akey[0], akey[1]
-                b1 = akey[2] if in_cycle else None
-                if (
-                    cut_weight_ok
-                    and k1 + k2 <= self.count_cap
-                    and y1 + edge_cap <= cap_max
-                    and not (in_cycle and (b1 == 0 or b2 == 0))
-                ):
+                b1 = akey[2] if in_cycle else -1
+                if cut_ok and k1 + k2 <= count_cap and y1 + edge_cap <= cap_max and b1 != 0:
+                    y = y1 + edge_cap
                     key = (x1, k1 + k2, 1) if in_cycle else (x1, k1 + k2)
-                    rec = ("step", "cut", a, akey, b, bkey, edge)
-                    self._put(out, key, y1 + edge_cap, rec)
-                if (
-                    x1 + x2 <= self.weight_upper
-                    and y1 + y2 <= cap_max
-                    and k1 + k2 - 1 <= self.count_cap
-                ):
+                    cur = out.get(key)
+                    if cur is None or y < cur[0]:
+                        out[key] = (y, ("step", "cut", a, akey, b, bkey, edge))
+                if x1 + x2 <= upper and y1 + y2 <= cap_max and k1 + k2 - 1 <= count_cap:
                     if in_cycle:
-                        if b1 is not None and b2 is not None and b1 != b2:
+                        if b1 >= 0 and b2 >= 0 and b1 != b2:
                             continue
-                        phase = b2 if b1 is None else b1 if b2 is None else b1
-                        key = (x1 + x2, k1 + k2 - 1, phase)
+                        key = (x1 + x2, k1 + k2 - 1, b2 if b1 < 0 else b1)
                     else:
                         key = (x1 + x2, k1 + k2 - 1)
-                    rec = ("step", "merge", a, akey, b, bkey, edge)
-                    self._put(out, key, y1 + y2, rec)
+                    y = y1 + y2
+                    cur = out.get(key)
+                    if cur is None or y < cur[0]:
+                        out[key] = (y, ("step", "merge", a, akey, b, bkey, edge))
         return out
 
     def lift(self, state, step, charged):
         absent_cap = self.graph.capacity[step.absent_edge]
         out: dict = {}
-        for key, (y, _rec) in _sorted_items(state):
+        for key, (y, _rec) in sorted(state.items()):
             x, k = key[0], key[1]
             rec = ("lift", state, key)
             if charged:
@@ -423,21 +447,21 @@ class CapacityAlgebra:
                 if y + absent_cap <= self.capacity_upper:
                     out[(x, k, 1)] = (y + absent_cap, rec)
             else:
-                out[(x, k, None)] = (y, rec)
+                out[(x, k, -1)] = (y, rec)
         return out
 
     def strip(self, state, step):
         out: dict = {}
-        for key, (y, _rec) in _sorted_items(state):
+        for key, (y, _rec) in sorted(state.items()):
             x, k, phase = key
-            assert phase is not None, "cycle phase never resolved"
+            assert phase >= 0, "cycle phase never resolved"
             self._put(out, (x, k), y, ("strip", state, key))
         return out
 
     def union_configs(self, configs, cycle):
         out: dict = {}
         for j, step, state in configs:
-            for key, (y, _rec) in _sorted_items(state):
+            for key, (y, _rec) in sorted(state.items()):
                 self._put(out, key, y, ("cfg", j, step.absent_edge, state, key))
         return out
 
@@ -455,7 +479,7 @@ def capacity_partition(
     if objective not in ("min", "max"):
         raise InvalidParamsError(f"objective must be 'min' or 'max', got {objective!r}")
     params = ProblemParams(weight_lower, weight_upper, 1)
-    if not isinstance(capacity_upper, int) or capacity_upper < 0:
+    if not isinstance(capacity_upper, int) or isinstance(capacity_upper, bool) or capacity_upper < 0:
         raise InvalidParamsError("capacity bound must be a non-negative integer")
     tree = as_tree(graph, root)
     graph = tree.graph
@@ -468,13 +492,13 @@ def capacity_partition(
 
     feasible = [
         (x, k)
-        for (x, k), (_y, _rec) in _sorted_items(root_state)
+        for (x, k), (_y, _rec) in sorted(root_state.items())
         if weight_lower <= x <= weight_upper
     ]
     if not feasible:
         return None
     counts = {k for _x, k in feasible}
     count = min(counts) if objective == "min" else max(counts)
-    target = sorted((x, k) for (x, k) in feasible if k == count)[0]
+    target = next(key for key in feasible if key[1] == count)
     cuts = collect_cuts(root_state, target)
     return count, canonicalize_partition(graph, cuts)

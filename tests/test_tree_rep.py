@@ -1,8 +1,13 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactus_partition import build_tree, configuration_edges
+from cactus_partition import build_tree, configuration_edges, gen_random_cactus, validate_cactus
+from cactus_partition import graph_model, tree_rep
+from cactus_partition.errors import NotCactusError, NotConnectedError
 from cactus_partition.tree_rep import absent_cycle_edge
 
 from util import graph_from, path, random_graph
@@ -113,3 +118,92 @@ def test_structure_invariants_on_random_cacti(seed):
 def test_build_is_deterministic(seed):
     g = random_graph(seed, n=seed % 10 + 1, cycle_density=0.6)
     assert build_tree(g).to_data() == build_tree(g).to_data()
+
+
+def _dfs_calls(monkeypatch):
+    """Count ``dfs_tree`` runs by validation and by ``build_tree``."""
+    calls = []
+    dfs = graph_model.dfs_tree
+
+    def counted(adjacency, root):
+        calls.append(root)
+        return dfs(adjacency, root)
+
+    monkeypatch.setattr(graph_model, "dfs_tree", counted)
+    monkeypatch.setattr(tree_rep, "dfs_tree", counted)
+    return calls
+
+
+def test_default_tree_reuses_the_validation_dfs(monkeypatch):
+    calls = _dfs_calls(monkeypatch)
+    doc = gen_random_cactus(40, cycle_density=0.5, seed=7)
+    doc["vertices"].reverse()  # the first vertex is not the default root
+    g = validate_cactus(doc)
+    build_tree(g)
+    build_tree(g, min(g.vertices))
+    assert calls == [min(g.vertices)]
+    build_tree(g, g.vertices[0])
+    assert calls == [min(g.vertices), g.vertices[0]]
+
+
+def test_reused_dfs_gives_the_same_trees():
+    rng = random.Random(0xD75)
+    for seed in range(360):
+        doc = gen_random_cactus(
+            rng.randint(1, 300), cycle_density=rng.choice((0.0, 0.3, 0.6, 0.9)), seed=seed
+        )
+        rng.shuffle(doc["vertices"])
+        rng.shuffle(doc["edges"])
+        g = validate_cactus(doc)
+        fresh = dataclasses.replace(g, dfs=None)  # build_tree runs its own search
+        for root in (None, g.vertices[-1]):
+            assert build_tree(g, root).to_data() == build_tree(fresh, root).to_data()
+        assert g.dfs[0] == build_tree(g).parent  # the kept search is left unchanged
+
+
+def _bad_document(rng, seed):
+    """A shuffled cactus document with extra vertices cut off from it, or
+    extra chords, or both; a chord may still leave a cactus."""
+    doc = gen_random_cactus(rng.randint(4, 40), cycle_density=0.5, seed=seed)
+    ids = [v["id"] for v in doc["vertices"]]
+    edges = {frozenset((e["u"], e["v"])) for e in doc["edges"]}
+    mode = rng.choice(("apart", "chord", "both"))
+    if mode != "chord":
+        extra = [f"x{i}" for i in range(rng.randint(1, 3))]
+        doc["vertices"] += [{"id": v, "weight": 1} for v in extra]
+        if len(extra) > 1:
+            doc["edges"].append({"u": extra[0], "v": extra[1]})
+    if mode != "apart":
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.sample(ids, 2)
+            if frozenset((u, v)) not in edges:
+                edges.add(frozenset((u, v)))
+                doc["edges"].append({"u": u, "v": v})
+    rng.shuffle(doc["vertices"])
+    rng.shuffle(doc["edges"])
+    return doc
+
+
+def _first_vertex_error(doc):
+    """Class and message of the error a search from the document's first
+    vertex raises."""
+    adjacency = {v["id"]: [] for v in doc["vertices"]}
+    for e in doc["edges"]:
+        adjacency[e["u"]].append(e["v"])
+        adjacency[e["v"]].append(e["u"])
+    with pytest.raises((NotConnectedError, NotCactusError)) as info:
+        graph_model.dfs_tree(adjacency, doc["vertices"][0]["id"])
+    return type(info.value), str(info.value)
+
+
+def test_errors_name_what_a_search_from_the_first_vertex_meets():
+    rng = random.Random(0xBAD)
+    kinds = []
+    for seed in range(400):
+        doc = _bad_document(rng, seed)
+        try:
+            validate_cactus(doc)
+        except (NotConnectedError, NotCactusError) as exc:
+            assert (type(exc), str(exc)) == _first_vertex_error(doc)
+            kinds.append(type(exc))
+    assert kinds.count(NotConnectedError) >= 100 and kinds.count(NotCactusError) >= 100

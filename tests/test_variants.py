@@ -19,6 +19,7 @@ from cactus_partition import (
     oracle_minmax,
 )
 from cactus_partition import tree_rep
+from cactus_partition.errors import InvalidParamsError
 from cactus_partition.variants import _size_weight_solve
 
 from util import graph_from, path, random_graph, triangle
@@ -152,6 +153,12 @@ def test_capacity_star_example():
 
 def test_capacity_star_infeasible_when_hub_overflows():
     assert capacity_partition(star(caps=(1, 1, 1)), 1, 1, 2) is None
+
+
+@pytest.mark.parametrize("bound", [True, False, -1, 1.5, "3"])
+def test_capacity_bound_must_be_a_non_negative_integer(bound):
+    with pytest.raises(InvalidParamsError, match="capacity bound"):
+        capacity_partition(star((1, 1, 1)), 1, 5, bound)
 
 
 def test_capacity_reduces_to_plain_counts_when_loose():

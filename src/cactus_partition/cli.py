@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import variants
 from .backtrack import annotate, reconstruct
@@ -30,9 +32,6 @@ from .oracle import (
     oracle_minmax,
 )
 from .tree_rep import build_tree
-
-VARIANTS = ("decide", "solve", "min", "max", "min-cost", "minmax", "maxmin", "capacity")
-_BOTH_ALGORITHMS = ("decide", "solve", "min", "max")
 
 
 def _range_pair(text: str) -> tuple[int, int]:
@@ -87,93 +86,80 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-_REQUIRED_FLAGS = {
-    "decide": ("l", "u", "p"),
-    "solve": ("l", "u", "p"),
-    "min": ("l", "u"),
-    "max": ("l", "u"),
-    "min-cost": ("l", "u"),
-    "minmax": ("l", "u", "p"),
-    "maxmin": ("l", "u", "p"),
-    "capacity": ("lw", "uw", "uc"),
+def _decide(tree, args, algorithm, stats, witness=False):
+    params = ProblemParams(args.l, args.u, args.p)
+    if trivially_infeasible(tree.graph, params):
+        return None
+    run_state = annotate(tree, params, algorithm)
+    stats["dp_cells"] = state_cells(run_state.states, algorithm)
+    if params.num_clusters not in run_state.feasible_counts():
+        return None
+    return None, reconstruct(run_state) if witness else None
+
+
+def _decide_oracle(catalog, args):
+    return (None,) if oracle_decide(catalog, args.l, args.u, args.p) else None
+
+
+class _Variant(NamedTuple):
+    required: tuple  # flags the variant needs
+    optional: tuple  # further flags it accepts
+    engines: tuple  # accepted --algorithm values, the default first
+    solve: Callable  # (tree, args, engine, stats) -> None or (objective, partition)
+    oracle: Callable  # (catalog, args) -> None if infeasible, else the objective first
+
+
+_LU, _LUP, _BOTH, _TUPLESET = ("l", "u"), ("l", "u", "p"), ("interval", "tupleset"), ("tupleset",)
+VARIANTS = {
+    "decide": _Variant(_LUP, (), _BOTH, _decide, _decide_oracle),
+    "solve": _Variant(_LUP, (), _BOTH, partial(_decide, witness=True), _decide_oracle),
+    "min": _Variant(
+        _LU, (), _BOTH,
+        lambda t, a, e, s: variants.min_partition(t, a.l, a.u, algorithm=e, stats=s),
+        lambda c, a: oracle_min(c, a.l, a.u),
+    ),
+    "max": _Variant(
+        _LU, (), _BOTH,
+        lambda t, a, e, s: variants.max_partition(t, a.l, a.u, algorithm=e, stats=s),
+        lambda c, a: oracle_max(c, a.l, a.u),
+    ),
+    "min-cost": _Variant(
+        _LU, ("p",), _TUPLESET,
+        lambda t, a, e, s: variants.min_cost_partition(t, a.l, a.u, a.p, stats=s),
+        lambda c, a: oracle_min_cost(c, a.l, a.u, a.p),
+    ),
+    "minmax": _Variant(
+        _LUP, (), _TUPLESET,
+        lambda t, a, e, s: variants.minmax_partition(t, a.l, a.u, a.p, stats=s),
+        lambda c, a: oracle_minmax(c, a.l, a.u, a.p),
+    ),
+    "maxmin": _Variant(
+        _LUP, (), _TUPLESET,
+        lambda t, a, e, s: variants.maxmin_partition(t, a.l, a.u, a.p, stats=s),
+        lambda c, a: oracle_maxmin(c, a.l, a.u, a.p),
+    ),
+    "capacity": _Variant(
+        ("lw", "uw", "uc"), (), _TUPLESET,
+        lambda t, a, e, s: variants.capacity_partition(t, a.lw, a.uw, a.uc, a.objective, stats=s),
+        lambda c, a: oracle_capacity(c, a.lw, a.uw, a.uc, a.objective),
+    ),
 }
-_OPTIONAL_FLAGS = {"min-cost": ("p",)}
 
 
 def _check_flags(args) -> str | None:
-    allowed = set(_REQUIRED_FLAGS[args.variant]) | set(
-        _OPTIONAL_FLAGS.get(args.variant, ())
-    )
+    spec = VARIANTS[args.variant]
     for flag in ("l", "u", "p", "lw", "uw", "uc"):
         value = getattr(args, flag)
-        if flag in _REQUIRED_FLAGS[args.variant] and value is None:
-            return f"variant {args.variant!r} requires -{flag}" if len(flag) == 1 else \
-                f"variant {args.variant!r} requires --{flag}"
-        if flag not in allowed and value is not None:
-            return f"flag {'-' if len(flag) == 1 else '--'}{flag} does not apply to variant {args.variant!r}"
-    if args.algorithm == "interval" and args.variant not in _BOTH_ALGORITHMS:
-        return f"variant {args.variant!r} only supports the tupleset algorithm"
+        name = ("-" if len(flag) == 1 else "--") + flag
+        if flag in spec.required and value is None:
+            return f"variant {args.variant!r} requires {name}"
+        if flag not in spec.required + spec.optional and value is not None:
+            return f"flag {name} does not apply to variant {args.variant!r}"
+    if args.algorithm is not None and args.algorithm not in spec.engines:
+        return f"variant {args.variant!r} only supports the {' or '.join(spec.engines)} algorithm"
     if args.objective != "min" and args.variant != "capacity":
         return "--objective applies to the capacity variant only"
     return None
-
-
-def _solve_dispatch(args, tree):
-    """Returns (feasible, objective, partition, dp_cells)."""
-    algorithm = args.algorithm or ("interval" if args.variant in _BOTH_ALGORITHMS else "tupleset")
-    variant = args.variant
-
-    if variant in ("decide", "solve"):
-        params = ProblemParams(args.l, args.u, args.p)
-        if trivially_infeasible(tree.graph, params):
-            return False, None, None, 0
-        run_state = annotate(tree, params, algorithm)
-        cells = state_cells(run_state.states, algorithm)
-        feasible = params.num_clusters in run_state.feasible_counts()
-        if variant == "decide" or not feasible:
-            return feasible, None, None, cells
-        return True, None, reconstruct(run_state), cells
-
-    stats: dict = {}
-    if variant in ("min", "max"):
-        fn = variants.min_partition if variant == "min" else variants.max_partition
-        result = fn(tree, args.l, args.u, algorithm=algorithm, stats=stats)
-    elif variant == "min-cost":
-        result = variants.min_cost_partition(tree, args.l, args.u, num_clusters=args.p, stats=stats)
-    elif variant == "minmax":
-        result = variants.minmax_partition(tree, args.l, args.u, args.p, stats=stats)
-    elif variant == "maxmin":
-        result = variants.maxmin_partition(tree, args.l, args.u, args.p, stats=stats)
-    else:
-        result = variants.capacity_partition(
-            tree, args.lw, args.uw, args.uc, objective=args.objective, stats=stats
-        )
-    cells = stats.get("dp_cells", 0)
-    if result is None:
-        return False, None, None, cells
-    return True, result[0], result[1], cells
-
-
-def _oracle_agrees(args, graph, feasible, objective) -> bool:
-    catalog = enumerate_all(graph)
-    variant = args.variant
-    if variant in ("decide", "solve"):
-        return oracle_decide(catalog, args.l, args.u, args.p) == feasible
-    if variant == "min":
-        expected = oracle_min(catalog, args.l, args.u)
-    elif variant == "max":
-        expected = oracle_max(catalog, args.l, args.u)
-    elif variant == "min-cost":
-        expected = oracle_min_cost(catalog, args.l, args.u, args.p)
-    elif variant == "minmax":
-        expected = oracle_minmax(catalog, args.l, args.u, args.p)
-    elif variant == "maxmin":
-        expected = oracle_maxmin(catalog, args.l, args.u, args.p)
-    else:
-        expected = oracle_capacity(catalog, args.lw, args.uw, args.uc, args.objective)
-    if expected is None:
-        return not feasible
-    return feasible and objective == expected[0]
 
 
 def _run_solve(args) -> int:
@@ -197,12 +183,17 @@ def _run_solve(args) -> int:
         return _usage_error(f"--root {args.root!r} is not a vertex of the graph")
 
     tree = build_tree(graph, args.root)
+    spec = VARIANTS[args.variant]
+    algorithm = args.algorithm or spec.engines[0]
+    stats: dict = {}
     started = time.perf_counter()
     try:
-        feasible, objective, partition, cells = _solve_dispatch(args, tree)
+        answer = spec.solve(tree, args, algorithm, stats)
     except InvalidParamsError as exc:
         return _usage_error(str(exc))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    feasible = answer is not None
+    objective, partition = answer or (None, None)
 
     result = {
         "feasible": feasible,
@@ -213,17 +204,18 @@ def _run_solve(args) -> int:
             "nodes": graph.num_vertices,
             "cycles": len(tree.cycles),
             "max_cycle_length": max((c.length for c in tree.cycles), default=0),
-            "dp_cells": cells,
+            "dp_cells": stats.get("dp_cells", 0),
             "wall_ms": round(elapsed_ms, 3),
-            "algorithm": args.algorithm
-            or ("interval" if args.variant in _BOTH_ALGORITHMS else "tupleset"),
+            "algorithm": algorithm,
         },
     }
     if args.oracle:
         try:
-            result["oracle_agrees"] = _oracle_agrees(args, graph, feasible, objective)
+            expected = spec.oracle(enumerate_all(graph), args)
         except TooLargeError as exc:
             return _usage_error(str(exc))
+        agrees = feasible and objective == expected[0] if expected is not None else not feasible
+        result["oracle_agrees"] = agrees
     if args.dump_tree:
         result["tree"] = tree.to_data()
     print(json.dumps(result, sort_keys=True))

@@ -103,15 +103,13 @@ def trivially_infeasible(graph: CactusGraph, params: ProblemParams) -> str | Non
 # shared traversal
 
 
-def run_tree_dp(tree, alg, include_redundant_config=False, config_sink=None):
+def run_tree_dp(tree, alg, config_sink=None):
     """Fold ``alg`` bottom-up over the tree, returning all partial states.
 
     The result maps ``(v, i)`` to the algebra state of the subtree made of
     ``v`` and its first ``i`` children.  ``config_sink``, when given, is
     filled with the per-configuration states of every cycle, keyed by
-    ``(cycle, j)``.  ``include_redundant_config`` additionally evaluates
-    the m-th configuration of each cycle (never needed for correctness;
-    used by tests that check it adds nothing).
+    ``(cycle, j)``.
     """
     sets = {}
     for v in tree.postorder():
@@ -122,9 +120,7 @@ def run_tree_dp(tree, alg, include_redundant_config=False, config_sink=None):
         for idx, child in enumerate(kids, start=1):
             cyc = tree.cycle_at.get((v, idx))
             if cyc is not None:
-                state = _cycle_union(
-                    tree, alg, sets, cyc, state, include_redundant_config, config_sink
-                )
+                state = _cycle_union(tree, alg, sets, cyc, state, config_sink)
             elif child == on_cyc:
                 # combined at the cycle's start node instead; must be last
                 assert idx == len(kids)
@@ -136,13 +132,11 @@ def run_tree_dp(tree, alg, include_redundant_config=False, config_sink=None):
     return sets
 
 
-def _cycle_union(tree, alg, sets, cyc, start_state, include_redundant, config_sink):
+def _cycle_union(tree, alg, sets, cyc, start_state, config_sink):
     """Union of the per-configuration states at the cycle's start node."""
-    m = cyc.length
     owns = cycle_node_states(tree, sets, cyc)
     configs = []
-    last_j = m if include_redundant else m - 1
-    for j in range(1, last_j + 1):
+    for j in range(1, cyc.length):
         step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
         joined, chains = fold_configuration(alg, step, owns, start_state, alg.combine)
         edge, _positions, top = chains[-1]
@@ -427,18 +421,18 @@ def _check_leaf_weights(graph: CactusGraph, params: ProblemParams) -> None:
         )
 
 
-def subtree_sets(tree: CactusTree, params: ProblemParams, *, _redundant=False):
+def subtree_sets(tree: CactusTree, params: ProblemParams):
     """All tuple sets of the tree, keyed by ``(node, children_included)``."""
     _check_leaf_weights(tree.graph, params)
-    states = run_tree_dp(tree, MaskAlgebra(tree.graph, params), _redundant)
+    states = run_tree_dp(tree, MaskAlgebra(tree.graph, params))
     return {ctx: _mask_state_to_set(state) for ctx, state in states.items()}
 
 
-def cycle_config_sets(tree: CactusTree, params: ProblemParams, cycle: CycleRecord, *, _redundant=False):
+def cycle_config_sets(tree: CactusTree, params: ProblemParams, cycle: CycleRecord):
     """Per-configuration tuple sets of one cycle, keyed by configuration index."""
     _check_leaf_weights(tree.graph, params)
     sink: dict = {}
-    run_tree_dp(tree, MaskAlgebra(tree.graph, params), _redundant, config_sink=sink)
+    run_tree_dp(tree, MaskAlgebra(tree.graph, params), config_sink=sink)
     return {
         j: _mask_state_to_set(state)
         for (cyc, j), state in sink.items()

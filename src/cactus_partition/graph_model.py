@@ -62,9 +62,6 @@ class CactusGraph:
     def max_weight(self) -> int:
         return max(self.weight.values())
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return edge_key(u, v) in self.cost
-
     def to_data(self) -> dict:
         """Plain-dict form matching the JSON graph file format."""
         return {

@@ -24,6 +24,12 @@ payloads:
   that cycle.  The phases of the two path chains must agree when they
   meet at the start node.
 
+The cost, size-weight and capacity algebras share ``_BestPerKey``: one
+entry per key, and a candidate replaces the stored entry only when its
+aux is strictly better, so the first best candidate in sorted order keeps
+its record.  ``combine`` and ``union_configs`` are named in each class
+body, because perfbench's tracer wraps them per class.
+
 Every entry point takes a graph or a ``CactusTree`` built from one (its
 ``root`` argument is then ignored), so one tree can serve several solves.
 """
@@ -44,6 +50,39 @@ def _record_cells(stats, states, algorithm=None):
     """Add the states' size (see :func:`state_cells`) to ``stats``."""
     if stats is not None:
         stats["dp_cells"] = stats.get("dp_cells", 0) + state_cells(states, algorithm)
+
+
+class _BestPerKey:
+    """States ``{key: (aux, record)}`` keeping the first best aux per key.
+
+    :meth:`_put` replaces an entry only with a strictly ``better`` aux, so
+    on ties the candidate met first in sorted order keeps its record.
+    Subclasses bind ``combine`` and ``union_configs`` in their own bodies,
+    where perfbench's tracer wraps them per class.
+    """
+
+    better = operator.lt
+
+    def _put(self, out, key, aux, rec):
+        cur = out.get(key)
+        if cur is None or self.better(aux, cur[0]):
+            out[key] = (aux, rec)
+
+    def base(self, v):
+        return {(self.graph.weight[v], 1): (0, ("leaf", v))}
+
+    def lift(self, state, step, charged):
+        return state
+
+    def strip(self, state, step):
+        return state
+
+    def union_configs(self, configs, cycle):
+        out: dict = {}
+        for j, step, state in configs:
+            for key, (aux, _rec) in sorted(state.items()):
+                self._put(out, key, aux, ("cfg", j, step.absent_edge, state, key))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -83,37 +122,23 @@ def _extreme_partition(graph, lower, upper, root, algorithm, minimize, stats=Non
 # minimum cut cost
 
 
-class CostAlgebra:
+class CostAlgebra(_BestPerKey):
     """Tuples ``(cluster weight, count) -> (cost, record)``.
 
     Inside cycles the key grows a flag telling whether the cycle has been
-    cut; with ``reduce_sets`` off every distinct cost survives as its own
-    key (used by tests to confirm the reduction never changes optima).
+    cut.
     """
 
-    def __init__(self, graph, lower, upper, count_cap, reduce_sets=True):
+    def __init__(self, graph, lower, upper, count_cap):
         self.graph = graph
         self.lower = lower
         self.upper = upper
         self.count_cap = count_cap
-        self.reduce_sets = reduce_sets
-
-    def _put(self, out, key, cost, rec):
-        if not self.reduce_sets:
-            key += (cost,)
-        cur = out.get(key)
-        if cur is None or cost < cur[0]:
-            out[key] = (cost, rec)
-
-    def base(self, v):
-        key = (self.graph.weight[v], 1) if self.reduce_sets else (self.graph.weight[v], 1, 0)
-        return {key: (0, ("leaf", v))}
 
     def combine(self, a, b, edge, step):
         # _put inlined: a candidate's record is built only when it is stored
         edge_cost = self.graph.cost[edge]
         lower, upper, count_cap = self.lower, self.upper, self.count_cap
-        keyed_by_cost = not self.reduce_sets
         in_cycle = step is not None
         out: dict = {}
         a_items = sorted(a.items())
@@ -126,8 +151,6 @@ class CostAlgebra:
                 if cut_ok and k1 + k2 <= count_cap:
                     cost = c1 + c2 + edge_cost
                     key = (x1, k1 + k2, 1) if in_cycle else (x1, k1 + k2)
-                    if keyed_by_cost:
-                        key += (cost,)
                     cur = out.get(key)
                     if cur is None or cost < cur[0]:
                         out[key] = (cost, ("step", "cut", a, akey, b, bkey, edge))
@@ -138,12 +161,12 @@ class CostAlgebra:
                         if in_cycle
                         else (x1 + x2, k1 + k2 - 1)
                     )
-                    if keyed_by_cost:
-                        key += (cost,)
                     cur = out.get(key)
                     if cur is None or cost < cur[0]:
                         out[key] = (cost, ("step", "merge", a, akey, b, bkey, edge))
         return out
+
+    union_configs = _BestPerKey.union_configs
 
     def lift(self, state, step, charged):
         out: dict = {}
@@ -164,22 +187,8 @@ class CostAlgebra:
             )
         return out
 
-    def union_configs(self, configs, cycle):
-        out: dict = {}
-        for j, step, state in configs:
-            for key, (cost, _rec) in sorted(state.items()):
-                self._put(
-                    out,
-                    (key[0], key[1]) if not self.reduce_sets else key,
-                    cost,
-                    ("cfg", j, step.absent_edge, state, key),
-                )
-        return out
 
-
-def min_cost_partition(
-    graph, lower, upper, num_clusters=None, root=None, reduce_sets=True, stats=None
-):
+def min_cost_partition(graph, lower, upper, num_clusters=None, root=None, stats=None):
     """Cheapest cut set whose clusters fit the weight window.
 
     The cost of a partition is the total cost of edges between clusters,
@@ -192,7 +201,7 @@ def min_cost_partition(
     count_cap = graph.num_vertices if num_clusters is None else num_clusters
     if trivially_infeasible(graph, ProblemParams(lower, upper, count_cap)):
         return None
-    alg = CostAlgebra(graph, lower, upper, count_cap, reduce_sets)
+    alg = CostAlgebra(graph, lower, upper, count_cap)
     states = run_tree_dp(tree, alg)
     _record_cells(stats, states)
     root_state = states[(tree.root, tree.full_index(tree.root))]
@@ -216,7 +225,7 @@ def min_cost_partition(
 # min-max / max-min cluster weight under size bounds
 
 
-class SizeWeightAlgebra:
+class SizeWeightAlgebra(_BestPerKey):
     """Tuples ``(cluster size, count) -> (cluster weight, record)``.
 
     Sizes play the bounded role; the weight of the cluster around the
@@ -233,12 +242,7 @@ class SizeWeightAlgebra:
         self.count = count
         self.bound = bound
         self.maximize = maximize
-        self._better = operator.gt if maximize else operator.lt
-
-    def _put(self, out, key, weight, rec):
-        cur = out.get(key)
-        if cur is None or self._better(weight, cur[0]):
-            out[key] = (weight, rec)
+        self.better = operator.gt if maximize else operator.lt
 
     def base(self, v):
         return {(self.graph.size[v], 1): (self.graph.weight[v], ("leaf", v))}
@@ -246,7 +250,7 @@ class SizeWeightAlgebra:
     def combine(self, a, b, edge, step):
         # _put inlined: a candidate's record is built only when it is stored
         lower, upper, count, bound = self.lower, self.upper, self.count, self.bound
-        maximize, better = self.maximize, self._better
+        maximize, better = self.maximize, self.better
         out: dict = {}
         a_items = sorted(a.items())
         for bkey, (y2, _recb) in sorted(b.items()):
@@ -268,18 +272,7 @@ class SizeWeightAlgebra:
                             out[key] = (y, ("step", "merge", a, akey, b, bkey, edge))
         return out
 
-    def lift(self, state, step, charged):
-        return state
-
-    def strip(self, state, step):
-        return state
-
-    def union_configs(self, configs, cycle):
-        out: dict = {}
-        for j, step, state in configs:
-            for key, (y, _rec) in sorted(state.items()):
-                self._put(out, key, y, ("cfg", j, step.absent_edge, state, key))
-        return out
+    union_configs = _BestPerKey.union_configs
 
 
 def _size_weight_solve(graph, lower, upper, count, bound, maximize, root=None, stats=None):
@@ -373,7 +366,7 @@ def maxmin_partition(graph, lower, upper, num_clusters, root=None, stats=None):
 # capacity-bounded clusters
 
 
-class CapacityAlgebra:
+class CapacityAlgebra(_BestPerKey):
     """Tuples ``(cluster weight, count) -> (committed capacity, record)``.
 
     The capacity of a cluster is the total capacity of edges leaving it;
@@ -392,14 +385,6 @@ class CapacityAlgebra:
         self.weight_upper = weight_upper
         self.capacity_upper = capacity_upper
         self.count_cap = graph.num_vertices
-
-    def _put(self, out, key, cap, rec):
-        cur = out.get(key)
-        if cur is None or cap < cur[0]:
-            out[key] = (cap, rec)
-
-    def base(self, v):
-        return {(self.graph.weight[v], 1): (0, ("leaf", v))}
 
     def combine(self, a, b, edge, step):
         # _put inlined: a candidate's record is built only when it is stored
@@ -436,6 +421,8 @@ class CapacityAlgebra:
                         out[key] = (y, ("step", "merge", a, akey, b, bkey, edge))
         return out
 
+    union_configs = _BestPerKey.union_configs
+
     def lift(self, state, step, charged):
         absent_cap = self.graph.capacity[step.absent_edge]
         out: dict = {}
@@ -456,13 +443,6 @@ class CapacityAlgebra:
             x, k, phase = key
             assert phase >= 0, "cycle phase never resolved"
             self._put(out, (x, k), y, ("strip", state, key))
-        return out
-
-    def union_configs(self, configs, cycle):
-        out: dict = {}
-        for j, step, state in configs:
-            for key, (y, _rec) in sorted(state.items()):
-                self._put(out, key, y, ("cfg", j, step.absent_edge, state, key))
         return out
 
 

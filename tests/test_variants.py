@@ -19,9 +19,11 @@ from cactus_partition import (
     oracle_minmax,
 )
 from cactus_partition import tree_rep
+from cactus_partition.dp_core import run_tree_dp
 from cactus_partition.errors import InvalidParamsError
 from cactus_partition.variants import _size_weight_solve
 
+import variants_reference
 from util import graph_from, path, random_graph, triangle
 
 
@@ -92,14 +94,18 @@ def test_min_cost_counts_cycle_closing_edge():
 
 
 def test_min_cost_reduction_is_safe():
+    # the reference's unreduced mode keeps every distinct cost as its own key
     for seed in range(25):
         g = random_graph(seed, n=seed % 7 + 1, cycle_density=0.5, cost_range=(0, 4))
         upper = max(g.total_weight // 2, g.max_weight)
         fast = min_cost_partition(g, 0, upper)
-        slow = min_cost_partition(g, 0, upper, reduce_sets=False)
+        tree = build_tree(g)
+        alg = variants_reference.CostAlgebra(g, 0, upper, g.num_vertices, reduce_sets=False)
+        root_state = run_tree_dp(tree, alg)[(tree.root, tree.full_index(tree.root))]
+        slow = min((cost for (x, *_), (cost, _rec) in root_state.items() if x <= upper), default=None)
         assert (fast is None) == (slow is None)
         if fast is not None:
-            assert fast[0] == slow[0]
+            assert fast[0] == slow
 
 
 def test_minmax_balanced_split():

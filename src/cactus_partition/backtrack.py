@@ -4,17 +4,21 @@ Reconstruction walks a solver run from the root downwards and collects
 the edges cut along the way; deleting the collected edges from the graph
 yields the clusters.
 
+Both walks name the states they pass through by the contexts of
+:class:`~.dp_core.ContextMap`, which hands out the two states and the
+edge each one was combined from, refolding a cycle configuration only
+when a walk enters it, and the per-configuration states of each cycle.
+
 The tuple-set engine keeps no records.  Its bitmask states are exact, so
 any split of a stored tuple into achievable parts extends to a valid
 partition, and the witness is read straight out of the states: at every
-combination the walk splits the tuple into a parent tuple, a child tuple
-and a branch (cut or merge) with bit tests over the set bits of the
-child state, and at a cycle it takes the lowest configuration holding
-the tuple and recomputes only that configuration's two chains.  The
-split follows the order of ``TupleAlgebra``'s records (smallest child
-tuple, then smallest parent tuple), so witnesses are the same as a
-recorded run would give.  The walk keeps an explicit stack, so the
-interpreter's recursion limit does not bound the depth of the tree.
+context the walk splits the tuple into a parent tuple, a child tuple and
+a branch (cut or merge) with bit tests over the set bits of the child
+state, and at a cycle it enters the lowest configuration holding the
+tuple.  The split follows the order of ``TupleAlgebra``'s records
+(smallest child tuple, then smallest parent tuple), so witnesses are the
+same as a recorded run would give.  The walk keeps an explicit stack, so
+the interpreter's recursion limit does not bound the depth of the tree.
 
 The interval engine keeps no records either, but its states are
 compressed: a stored interval only guarantees that some member weight
@@ -25,11 +29,10 @@ the interval, recomputing them at each context it passes through: the
 raw intervals of the merge group (in ``(lo, hi)`` order), the pairs of
 parent and child intervals that combine into each (child count
 ascending, then child interval, cut before merge), and the cycle
-configurations holding it (ascending ``j``, their chains refolded
-through :func:`fold_configuration`).  Descending into a cluster merge
-with child interval ``[b, b']`` widens the child side: the parent side
-is searched within ``[lo - b', hi - b]`` and, once its exact weight x is
-fixed, the child side must land in ``[lo - x, hi - x]``.  Completed
+configurations holding it (ascending ``j``).  Descending into a cluster
+merge with child interval ``[b, b']`` widens the child side: the parent
+side is searched within ``[lo - b', hi - b]`` and, once its exact weight
+x is fixed, the child side must land in ``[lo - x, hi - x]``.  Completed
 clusters are searched against the original weight window and memoised.
 The first solution in this deterministic order is returned, so
 reconstruction is reproducible; it is the order in which a recorded
@@ -43,17 +46,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dp_core import (
-    CycleStep,
+    ContextMap,
     MaskAlgebra,
     ProblemParams,
     _check_leaf_weights,
     _mask_state_to_set,
-    cycle_node_states,
-    fold_configuration,
     run_tree_dp,
 )
 from .errors import WitnessNotFoundError
-from .graph_model import CactusGraph, Partition, canonicalize_partition, edge_key
+from .graph_model import CactusGraph, Partition, canonicalize_partition
 from .interval_dp import IEntry, IntervalAlgebra
 from .tree_rep import CactusTree, absent_cycle_edge, as_tree
 
@@ -169,53 +170,32 @@ def _split(a: dict, b: dict, x: int, k: int, window: int):
 
 def _mask_witness_cuts(run: AnnotatedRun, key) -> set:
     """Cut edges of the witness of root tuple ``key`` in a tuple-set run."""
-    tree, states = run.tree, run.states
+    tree = run.tree
     # Entries with counts up to key[1] do not depend on the count cap, and
-    # no tuple below the root has a larger count, so chains are recomputed
+    # no tuple below the root has a larger count, so chains are refolded
     # under that cap.
     alg = MaskAlgebra(tree.graph, ProblemParams(run.params.lower, run.params.upper, key[1]))
-
-    def full(node):
-        return (node, tree.full_index(node))
-
+    contexts = ContextMap(tree, alg, run.states, run.configs)
     cuts: set = set()
-
-    def split(a, b, tup, edge):
-        a_key, b_key, cut = _split(a, b, *tup, alg.window_mask)
+    stack = [(contexts.full[tree.root], key)]
+    while stack:
+        ctx, key = stack.pop()
+        if len(ctx) == 2:
+            if ctx[1] == 0:
+                continue
+            cyc = tree.cycle_at.get(ctx)
+            if cyc is not None:  # the lowest configuration holding the tuple
+                x, k = key
+                configs = contexts.config_states(ctx)
+                j = next(j for j, st in enumerate(configs, start=1) if st.get(k, 0) >> x & 1)
+                cuts.add(absent_cycle_edge(cyc, j))
+                stack.append(((ctx, j, None), key))
+                continue
+        a_ctx, a, b_ctx, b, edge = contexts.parts(ctx)
+        a_key, b_key, cut = _split(a, b, *key, alg.window_mask)
         if cut:
             cuts.add(edge)
-        return a_key, b_key
-
-    stack = [(full(tree.root), key)]
-    while stack:
-        (v, i), key = stack.pop()
-        if i == 0:
-            continue
-        cyc = tree.cycle_at.get((v, i))
-        if cyc is None:
-            child = full(tree.children[v][i - 1])
-            a_key, b_key = split(states[(v, i - 1)], states[child], key, edge_key(v, child[0]))
-            stack += [((v, i - 1), a_key), (child, b_key)]
-            continue
-        x, k = key
-        j = next(j for j in range(1, cyc.length) if run.configs[(cyc, j)].get(k, 0) >> x & 1)
-        step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
-        cuts.add(step.absent_edge)
-        owns = cycle_node_states(tree, states, cyc)
-        joined, chains = fold_configuration(
-            alg, step, owns, states[(v, i - 1)], alg.join_states
-        )
-        for n in range(len(chains) - 1, -1, -1):
-            join_edge, positions, chain = chains[n]
-            key, chain_key = split(joined[n], chain[-1], key, join_edge)
-            for t in range(len(chain) - 1, 0, -1):
-                node, below = cyc.path[positions[t]], cyc.path[positions[t - 1]]
-                own_key, chain_key = split(
-                    owns[positions[t]], chain[t - 1], chain_key, edge_key(node, below)
-                )
-                stack.append((full(node), own_key))
-            stack.append((full(cyc.path[positions[0]]), chain_key))
-        stack.append(((v, i - 1), key))
+        stack += [(a_ctx, a_key), (b_ctx, b_key)]
     return cuts
 
 
@@ -300,29 +280,15 @@ def _cut_edges(cuts) -> set:
 
 
 class _IntervalWalk:
-    """Depth-first search for an interval witness, recomputing its records.
-
-    A context names the state an interval lives in, told apart by length:
-    ``(v, i)`` for the tree's partial states, ``(start, j, n)`` for the
-    start node's state after configuration ``j`` of the cycle at tree
-    context ``start`` has joined ``n`` chains (``n`` None: all of them,
-    the configuration's state), and ``(start, j, n, t)`` for chain ``n``
-    of that configuration folded up to its ``t``-th node.  Contexts that
-    alias a tree state (a chain's bottom, the start state before any
-    join) are named by the tree context.
-    """
+    """Depth-first search for an interval witness over the contexts of a
+    :class:`ContextMap`, recomputing the records it would have kept."""
 
     def __init__(self, run: AnnotatedRun):
-        tree = run.tree
-        self.tree = tree
-        self.states = run.states
-        self.configs = run.configs
+        self.tree = run.tree
         self.lower, self.upper = run.params.lower, run.params.upper
-        self.full = {v: (v, tree.full_index(v)) for v in tree.children}
-        self.alg = IntervalAlgebra(run.graph, run.params)
-        # keyed by the cycle's start context: a CycleRecord hashes its path
-        self._cycle_configs: dict = {}  # start context -> states of configurations 1..m-1
-        self._folds: dict = {}  # (start context, j) -> (cycle, joined, chains)
+        self.contexts = ContextMap(
+            run.tree, IntervalAlgebra(run.graph, run.params), run.states, run.configs
+        )
         self._done: dict = {}  # completed clusters: (context, k, lo, hi) -> result
 
     @staticmethod
@@ -353,44 +319,6 @@ class _IntervalWalk:
                 sent = None
         return sent
 
-    def _fold(self, start, j):
-        """``(cycle, joined, chains)`` of configuration ``j`` at ``start``."""
-        folded = self._folds.get((start, j))
-        if folded is None:
-            cyc = self.tree.cycle_at[start]
-            step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
-            owns = cycle_node_states(self.tree, self.states, cyc)
-            v, i = start
-            folded = (cyc,) + fold_configuration(
-                self.alg, step, owns, self.states[(v, i - 1)], self.alg.join_states
-            )
-            self._folds[(start, j)] = folded
-        return folded
-
-    def _parts(self, ctx):
-        """``(a_ctx, a, b_ctx, b, edge)`` of the combination that made ``ctx``."""
-        if len(ctx) == 2:
-            v, i = ctx
-            child = self.full[self.tree.children[v][i - 1]]
-            edge = edge_key(v, child[0])
-            return (v, i - 1), self.states[(v, i - 1)], child, self.states[child], edge
-        start, j, n = ctx[:3]
-        cyc, joined, chains = self._fold(start, j)
-        if len(ctx) == 3:  # chain c's top joined into the start state
-            c = len(chains) - 1 if n is None else n - 1
-            edge, positions, chain = chains[c]
-            a_ctx = (start[0], start[1] - 1) if c == 0 else (start, j, c)
-            a, t = joined[c], len(chain)
-        else:  # the t-th node of chain c joined to the chain below it
-            c, t = n, ctx[3]
-            _edge, positions, chain = chains[c]
-            node = cyc.path[positions[t]]
-            a_ctx = self.full[node]
-            a = self.states[a_ctx]
-            edge = edge_key(node, cyc.path[positions[t - 1]])
-        b_ctx = self.full[cyc.path[positions[0]]] if t == 1 else (start, j, c, t - 1)
-        return a_ctx, a, b_ctx, chain[t - 1], edge
-
     def frame(self, ctx, k, e_lo, e_hi, lo, hi):
         """Iterator over the ``(x, cuts)`` realisations in ``[lo, hi]`` of
         interval ``[e_lo, e_hi]`` at count ``k`` of the state at ``ctx``.
@@ -408,7 +336,7 @@ class _IntervalWalk:
         return self._combination(ctx, k, e_lo, e_hi, lo, hi)
 
     def _combination(self, ctx, k, e_lo, e_hi, lo, hi):
-        a_ctx, a, b_ctx, b, edge = self._parts(ctx)
+        a_ctx, a, b_ctx, b, edge = self.contexts.parts(ctx)
         lower, upper, done_memo = self.lower, self.upper, self._done
         for (r_lo, r_hi), pairs in _raw_intervals(a, b, k, e_lo, e_hi, lower, upper):
             if r_lo > hi or r_hi < lo:
@@ -436,12 +364,8 @@ class _IntervalWalk:
 
     def _union(self, start, k, e_lo, e_hi, lo, hi):
         cyc = self.tree.cycle_at[start]
-        configs = self._cycle_configs.get(start)
-        if configs is None:
-            configs = [self.configs[(cyc, j)] for j in range(1, cyc.length)]
-            self._cycle_configs[start] = configs
         found: dict = {}
-        for j, state in enumerate(configs, start=1):
+        for j, state in enumerate(self.contexts.config_states(start), start=1):
             for iv in state.get(k, ()):
                 if e_lo <= iv[0] <= e_hi:
                     found.setdefault(iv, []).append(j)

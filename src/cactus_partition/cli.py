@@ -3,13 +3,15 @@
 Two subcommands: ``solve`` reads a graph document, dispatches to the
 requested solver and prints a machine-readable JSON result; ``gen``
 writes a seeded random cactus document.  Exit codes: 0 solved/feasible,
-1 infeasible, 2 usage error, 3 input error.
+1 infeasible, 2 usage error, 3 input error; a reader that closes stdout
+early changes none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -84,6 +86,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _emit(document, code: int) -> int:
+    """Print ``document`` as JSON and return ``code``, also when the
+    reader has closed stdout early."""
+    try:
+        print(json.dumps(document, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull, so the flush at
+        # interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def _decide(tree, args, algorithm, stats, witness=False):
@@ -218,8 +232,7 @@ def _run_solve(args) -> int:
         result["oracle_agrees"] = agrees
     if args.dump_tree:
         result["tree"] = tree.to_data()
-    print(json.dumps(result, sort_keys=True))
-    return 0 if feasible else 1
+    return _emit(result, 0 if feasible else 1)
 
 
 def _run_gen(args) -> int:
@@ -235,8 +248,7 @@ def _run_gen(args) -> int:
         )
     except InvalidParamsError as exc:
         return _usage_error(str(exc))
-    print(json.dumps(document, sort_keys=True))
-    return 0
+    return _emit(document, 0)
 
 
 def run(argv) -> int:

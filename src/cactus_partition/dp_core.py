@@ -26,13 +26,16 @@ all of them.
 
 The same traversal drives several payload algebras: a bitmask algebra for
 the tuple-set engine and the cost / size / capacity algebras of the
-optimisation variants.  The bitmask states are exact, so the tuple-set
-engine keeps no records: ``backtrack`` reads a witness straight out of
-them by walking the tree top-down, recomputing through
-:func:`fold_configuration` only the chains of the cycle configurations
-the witness passes through.  ``TupleAlgebra``, a recorded algebra whose
-entries remember one witness combination each, stays here as the
-reference the tests compare those witnesses with.
+optimisation variants.  The bitmask and interval states keep no records:
+``backtrack`` reads a witness out of them by walking the tree top-down.
+:class:`ContextMap` is the one inverse of the traversal that both walks
+use: it names every partial state, including the joined states and chain
+states inside a cycle configuration, and hands out the two states and
+the edge each was combined from, refolding through
+:func:`fold_configuration` only the configurations a walk passes
+through.  ``TupleAlgebra``, a recorded algebra whose entries remember one
+witness combination each, stays here as the reference the tests compare
+the tuple-set witnesses with.
 """
 
 from __future__ import annotations
@@ -206,6 +209,91 @@ def fold_configuration(alg, step, owns, start_state, combine):
     return joined, chains
 
 
+class ContextMap:
+    """Every state of a finished run, named, with the parts it was combined from.
+
+    A context is ``(v, i)`` for a tree state (the keys of
+    :func:`run_tree_dp`), ``(start, j, n)`` for the start node's state
+    after configuration ``j`` of the cycle at tree context ``start`` has
+    joined ``n`` chains (``n`` None: all of them, the configuration's
+    state before ``strip``), and ``(start, j, n, t)`` for chain ``n`` of
+    that configuration folded up to its ``t``-th node.  Contexts that
+    alias a tree state (a chain's bottom, the start state before any join)
+    are named by the tree context.  :meth:`parts` inverts every context
+    but a leaf ``(v, 0)`` and a cycle's start, whose state is the union of
+    :meth:`config_states`.  A configuration is refolded through
+    ``alg.join_states`` once, when first asked for, without its final
+    join; ``lift`` must be the identity.
+    """
+
+    def __init__(self, tree: CactusTree, alg, states, configs):
+        self.tree = tree
+        self.alg = alg
+        self.states = states
+        self.configs = configs  # the run's config_sink
+        self.full = {v: (v, tree.full_index(v)) for v in tree.children}
+        # keyed by the start context: a CycleRecord hashes its whole path
+        self._config_states: dict = {}  # start context -> states of configurations 1..m-1
+        self._folds: dict = {}  # (start context, j) -> (cycle, joined, chains)
+
+    def config_states(self, start):
+        """States of configurations 1..m-1 of the cycle at ``start``."""
+        found = self._config_states.get(start)
+        if found is None:
+            cyc = self.tree.cycle_at[start]
+            found = [self.configs[(cyc, j)] for j in range(1, cyc.length)]
+            self._config_states[start] = found
+        return found
+
+    def parts(self, ctx):
+        """``(a_ctx, a, b_ctx, b, edge)`` of the combination that made ``ctx``.
+
+        ``a`` is the side that keeps the root cluster, ``b`` the one
+        joined to it through ``edge``.
+        """
+        if len(ctx) == 2:
+            v, i = ctx
+            child = self.full[self.tree.children[v][i - 1]]
+            edge = edge_key(v, child[0])
+            return (v, i - 1), self.states[(v, i - 1)], child, self.states[child], edge
+        start, j, n = ctx[:3]
+        folded = self._folds.get((start, j))
+        if folded is None:
+            cyc = self.tree.cycle_at[start]
+            step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
+            owns = cycle_node_states(self.tree, self.states, cyc)
+            start_state = self.states[(start[0], start[1] - 1)]
+            folded = self._folds[(start, j)] = (cyc,) + fold_configuration(
+                self.alg, step, owns, start_state, self.alg.join_states
+            )
+        cyc, joined, chains = folded
+        if len(ctx) == 3:  # chain c's top joined into the start state
+            c = len(chains) - 1 if n is None else n - 1
+            edge, positions, chain = chains[c]
+            a_ctx = (start[0], start[1] - 1) if c == 0 else (start, j, c)
+            a, t = joined[c], len(chain)
+        else:  # the t-th node of chain c joined to the chain below it
+            c, t = n, ctx[3]
+            _edge, positions, chain = chains[c]
+            node = cyc.path[positions[t]]
+            a_ctx = self.full[node]
+            a = self.states[a_ctx]
+            edge = edge_key(node, cyc.path[positions[t - 1]])
+        b_ctx = self.full[cyc.path[positions[0]]] if t == 1 else (start, j, c, t - 1)
+        return a_ctx, a, b_ctx, chain[t - 1], edge
+
+
+class IdentityLift:
+    """``lift`` and ``strip`` for algebras whose states ignore the cycle
+    configuration they are folded in: both hand the state back."""
+
+    def lift(self, state, step, charged):
+        return state
+
+    def strip(self, state, step):
+        return state
+
+
 # ---------------------------------------------------------------------------
 # bitmask algebra: decisions only, no records
 
@@ -219,7 +307,7 @@ def _mask_values(mask: int) -> list[int]:
     return values
 
 
-class MaskAlgebra:
+class MaskAlgebra(IdentityLift):
     """Subtree sets as per-count weight bitmasks.
 
     A state maps cluster count k to an integer whose bit x is set when
@@ -292,12 +380,6 @@ class MaskAlgebra:
     # per-run combine counters of perfbench's tracer) do not see its calls.
     join_states = combine
 
-    def lift(self, state, step, charged):
-        return state
-
-    def strip(self, state, step):
-        return state
-
     def union_configs(self, configs, cycle):
         out: dict[int, int] = {}
         for _j, _step, state in configs:
@@ -310,7 +392,7 @@ class MaskAlgebra:
 # recorded algebra: one witness per tuple, the tests' reference
 
 
-class TupleAlgebra:
+class TupleAlgebra(IdentityLift):
     """Subtree sets as ``{(x, k): (None, record)}`` dictionaries.
 
     Records point at the states and keys they were combined from, so a
@@ -346,12 +428,6 @@ class TupleAlgebra:
                     if key not in out:
                         out[key] = (None, ("step", "merge", a, (x1, k1), b, (x2, k2), edge))
         return out
-
-    def lift(self, state, step, charged):
-        return state
-
-    def strip(self, state, step):
-        return state
 
     def union_configs(self, configs, cycle):
         out = {}

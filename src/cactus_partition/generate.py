@@ -28,9 +28,12 @@ def gen_random_cactus(
         raise InvalidParamsError("need at least one vertex")
     if not 0.0 <= cycle_density <= 1.0:
         raise InvalidParamsError("cycle density must be within [0, 1]")
+    ranges = {"weight": weight_range, "size": size_range, "cost": cost_range,
+              "capacity": capacity_range}
+    for name, bounds in ranges.items():
+        if bounds is not None and not 0 <= bounds[0] <= bounds[1]:
+            raise InvalidParamsError(f"bad {name} range {bounds!r}")
     lo, hi = weight_range
-    if lo < 0 or lo > hi:
-        raise InvalidParamsError(f"bad weight range {weight_range!r}")
 
     rng = random.Random(seed)
     width = max(2, len(str(n - 1)))

@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .dp_core import (
+    IdentityLift,
     ProblemParams,
     _check_leaf_weights,
     run_tree_dp,
@@ -135,7 +136,7 @@ class IEntry(NamedTuple):
         return self.lo <= hi and self.hi >= lo
 
 
-class IntervalAlgebra:
+class IntervalAlgebra(IdentityLift):
     """Interval states for the shared tree traversal: ``{k: ((lo, hi), ...)}``."""
 
     def __init__(self, graph: CactusGraph, params: ProblemParams):
@@ -176,12 +177,6 @@ class IntervalAlgebra:
     # combines outside any DP run: wrappers installed on ``combine`` (the
     # per-run combine counters of perfbench's tracer) do not see its calls.
     join_states = combine
-
-    def lift(self, state, step, charged):
-        return state
-
-    def strip(self, state, step):
-        return state
 
     def union_configs(self, configs, cycle):
         raw: dict[int, list[Interval]] = {}

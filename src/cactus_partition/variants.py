@@ -40,7 +40,13 @@ import operator
 from dataclasses import replace
 
 from .backtrack import annotate, collect_cuts, reconstruct
-from .dp_core import ProblemParams, run_tree_dp, state_cells, trivially_infeasible
+from .dp_core import (
+    IdentityLift,
+    ProblemParams,
+    run_tree_dp,
+    state_cells,
+    trivially_infeasible,
+)
 from .errors import InvalidParamsError
 from .graph_model import canonicalize_partition
 from .tree_rep import as_tree
@@ -52,7 +58,7 @@ def _record_cells(stats, states, algorithm=None):
         stats["dp_cells"] = stats.get("dp_cells", 0) + state_cells(states, algorithm)
 
 
-class _BestPerKey:
+class _BestPerKey(IdentityLift):
     """States ``{key: (aux, record)}`` keeping the first best aux per key.
 
     :meth:`_put` replaces an entry only with a strictly ``better`` aux, so
@@ -71,18 +77,33 @@ class _BestPerKey:
     def base(self, v):
         return {(self.graph.weight[v], 1): (0, ("leaf", v))}
 
-    def lift(self, state, step, charged):
-        return state
-
-    def strip(self, state, step):
-        return state
-
     def union_configs(self, configs, cycle):
         out: dict = {}
         for j, step, state in configs:
             for key, (aux, _rec) in sorted(state.items()):
                 self._put(out, key, aux, ("cfg", j, step.absent_edge, state, key))
         return out
+
+
+def _best_witness(tree, alg, stats, rank):
+    """Run ``alg`` over ``tree`` and rebuild the witness of its best root entry.
+
+    ``rank(key, aux)`` scores a root entry, None when it does not qualify.
+    The first entry of least rank in sorted key order wins, so the witness
+    is the one its record holds.  Returns ``(key, aux, partition)`` or None.
+    """
+    states = run_tree_dp(tree, alg)
+    _record_cells(stats, states)
+    root_state = states[(tree.root, tree.full_index(tree.root))]
+    best = None
+    for key, (aux, _rec) in sorted(root_state.items()):
+        score = rank(key, aux)
+        if score is not None and (best is None or score < best[0]):
+            best = (score, key, aux)
+    if best is None:
+        return None
+    _score, key, aux = best
+    return key, aux, canonicalize_partition(tree.graph, collect_cuts(root_state, key))
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +223,10 @@ def min_cost_partition(graph, lower, upper, num_clusters=None, root=None, stats=
     if trivially_infeasible(graph, ProblemParams(lower, upper, count_cap)):
         return None
     alg = CostAlgebra(graph, lower, upper, count_cap)
-    states = run_tree_dp(tree, alg)
-    _record_cells(stats, states)
-    root_state = states[(tree.root, tree.full_index(tree.root))]
-
-    best = None
-    for key, (cost, _rec) in sorted(root_state.items()):
-        x, k = key[0], key[1]
-        if not lower <= x <= upper:
-            continue
-        if num_clusters is not None and k != num_clusters:
-            continue
-        if best is None or cost < best[0]:
-            best = (cost, key)
-    if best is None:
-        return None
-    cuts = collect_cuts(root_state, best[1])
-    return best[0], canonicalize_partition(graph, cuts)
+    found = _best_witness(tree, alg, stats, lambda key, cost: (
+        cost if lower <= key[0] <= upper and num_clusters in (None, key[1]) else None
+    ))
+    return None if found is None else (found[1], found[2])
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +285,11 @@ class SizeWeightAlgebra(_BestPerKey):
 
 def _size_weight_solve(graph, lower, upper, count, bound, maximize, root=None, stats=None):
     tree = as_tree(graph, root)
-    graph = tree.graph
-    alg = SizeWeightAlgebra(graph, lower, upper, count, bound, maximize)
-    states = run_tree_dp(tree, alg)
-    _record_cells(stats, states)
-    root_state = states[(tree.root, tree.full_index(tree.root))]
-    options = [
-        (x, k)
-        for (x, k), (y, _rec) in sorted(root_state.items())
-        if k == count
-        and lower <= x <= upper
-        and (y >= bound if maximize else True)
-    ]
-    if not options:
-        return None
-    cuts = collect_cuts(root_state, options[0])
-    return canonicalize_partition(graph, cuts)
+    alg = SizeWeightAlgebra(tree.graph, lower, upper, count, bound, maximize)
+    found = _best_witness(tree, alg, stats, lambda key, y: (
+        0 if key[1] == count and lower <= key[0] <= upper and (y >= bound or not maximize) else None
+    ))
+    return None if found is None else found[2]
 
 
 def minmax_partition(graph, lower, upper, num_clusters, root=None, stats=None):
@@ -466,19 +463,8 @@ def capacity_partition(
     if trivially_infeasible(graph, params):
         return None
     alg = CapacityAlgebra(graph, weight_lower, weight_upper, capacity_upper)
-    states = run_tree_dp(tree, alg)
-    _record_cells(stats, states)
-    root_state = states[(tree.root, tree.full_index(tree.root))]
-
-    feasible = [
-        (x, k)
-        for (x, k), (_y, _rec) in sorted(root_state.items())
-        if weight_lower <= x <= weight_upper
-    ]
-    if not feasible:
-        return None
-    counts = {k for _x, k in feasible}
-    count = min(counts) if objective == "min" else max(counts)
-    target = next(key for key in feasible if key[1] == count)
-    cuts = collect_cuts(root_state, target)
-    return count, canonicalize_partition(graph, cuts)
+    sign = 1 if objective == "min" else -1  # rank by count, or by count descending
+    found = _best_witness(tree, alg, stats, lambda key, _y: (
+        sign * key[1] if weight_lower <= key[0] <= weight_upper else None
+    ))
+    return None if found is None else (found[0][1], found[2])

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cactus_partition
 from cactus_partition import tree_rep, validate_cactus
 from cactus_partition.cli import run
 
@@ -207,6 +211,30 @@ def test_gen_single_vertex(capsys):
     assert run(["gen", "-n", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["vertices"]) == 1 and doc["edges"] == []
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["gen", "-n", "400", "--seed", "3"], 0),
+    (["solve", "--variant", "solve", "-l", "1", "-u", "1", "-p", "3"], 0),
+    (["solve", "--variant", "decide", "-l", "2", "-u", "2", "-p", "2"], 1),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, expected, graph_file):
+    """A reader gone before the answer is written: no traceback, and the
+    exit code the request has anyway."""
+    if argv[0] == "solve":
+        argv = argv + [graph_file(TRIANGLE)]
+    src = str(Path(cactus_partition.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "cactus_partition.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (expected, b"")
 
 
 @pytest.mark.parametrize("variant", ["minmax", "maxmin", "min", "solve"])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,16 @@ from cactus_partition import (
     root_set,
     subtree_sets,
 )
-from cactus_partition.dp_core import TupleAlgebra, run_tree_dp
+from cactus_partition.dp_core import (
+    ContextMap,
+    CycleStep,
+    MaskAlgebra,
+    TupleAlgebra,
+    run_tree_dp,
+)
 from cactus_partition.errors import InvalidParamsError, WeightExceedsUpperError
+from cactus_partition.interval_dp import IntervalAlgebra
+from cactus_partition.tree_rep import absent_cycle_edge
 
 from util import graph_from, path, random_graph, triangle
 
@@ -190,3 +200,67 @@ def test_decide_agrees_with_oracle(seed, lower, span, p):
     params = ProblemParams(lower, lower + span, p)
     expected = oracle_decide(enumerate_all(g), params.lower, params.upper, p)
     assert decide_p_partition(g, params) == expected
+
+
+def _rings_and_necklaces():
+    """Seeded rings, necklaces (rings strung together at shared vertices,
+    with a pendant path) and random cacti."""
+    rng = random.Random(5)
+    for m in (3, 4, 7, 12):
+        ring = [f"r{i}" for i in range(m)]
+        yield graph_from({v: rng.randint(0, 4) for v in ring},
+                         [(ring[i], ring[(i + 1) % m]) for i in range(m)])
+    for beads, m in ((3, 4), (4, 6)):
+        edges, anchor = [], "b0_0"
+        for b in range(beads):
+            ring = [anchor] + [f"b{b}_{i}" for i in range(1, m)]
+            edges += [(ring[i], ring[(i + 1) % m]) for i in range(m)]
+            anchor = ring[m // 2]
+        edges += [(anchor, "t0"), ("t0", "t1")]
+        names = sorted({v for edge in edges for v in edge})
+        yield graph_from({v: rng.randint(0, 4) for v in names}, edges)
+    for seed in range(10):
+        yield random_graph(seed, n=16, cycle_density=0.8)
+
+
+@pytest.mark.parametrize("algebra", [MaskAlgebra, IntervalAlgebra])
+def test_context_map_parts_rebuild_the_stored_states(algebra):
+    """Joining the parts the context map names for a context gives back its
+    state: the stored state of a tree context, the stored configuration
+    state (after ``strip``) and, inside a configuration, the state its
+    parent context was split into.  A cycle's start state is the union of
+    the configuration states the map hands out."""
+    joins = 0
+    for g in _rings_and_necklaces():
+        tree = build_tree(g)
+        alg = algebra(g, ProblemParams(2, 7, g.num_vertices))
+        configs: dict = {}
+        states = run_tree_dp(tree, alg, config_sink=configs)
+        contexts = ContextMap(tree, alg, states, configs)
+        for ctx, want in states.items():
+            if ctx[1] == 0 or ctx in tree.cycle_at:
+                continue
+            a_ctx, a, b_ctx, b, edge = contexts.parts(ctx)
+            assert (a, b) == (states[a_ctx], states[b_ctx])
+            assert alg.join_states(a, b, edge, None) == want
+        for start, cyc in tree.cycle_at.items():
+            steps = [CycleStep(cyc, j, absent_cycle_edge(cyc, j)) for j in range(1, cyc.length)]
+            wants = contexts.config_states(start)
+            union = alg.union_configs([(s.j, s, w) for s, w in zip(steps, wants)], cyc)
+            assert union == states[start]
+            for step, want in zip(steps, wants):
+                pending = [((start, step.j, None), want)]
+                while pending:
+                    ctx, want = pending.pop()
+                    a_ctx, a, b_ctx, b, edge = contexts.parts(ctx)
+                    got = alg.join_states(a, b, edge, step)
+                    if ctx[2:] == (None,):
+                        got = alg.strip(got, step)
+                    assert got == want, ctx
+                    joins += 1
+                    for part_ctx, part in ((a_ctx, a), (b_ctx, b)):
+                        if len(part_ctx) == 2:
+                            assert part == states[part_ctx], (ctx, part_ctx)
+                        else:
+                            pending.append((part_ctx, part))
+    assert joins >= 500

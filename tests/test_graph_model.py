@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactus_partition import canonicalize_partition, validate_cactus
+from cactus_partition import canonicalize_partition, gen_random_cactus, validate_cactus
 from cactus_partition.errors import (
+    InvalidParamsError,
     NegativeAttributeError,
     NotCactusError,
     NotConnectedError,
@@ -140,3 +141,20 @@ def test_shared_cycle_edge_is_named():
     edges = [("a", "b"), ("b", "c"), ("a", "c"), ("b", "d"), ("c", "d")]
     with pytest.raises(NotCactusError, match=r"edge \('b', 'c'\) lies on two cycles"):
         graph_from({v: 1 for v in "abcd"}, edges)
+
+
+@pytest.mark.parametrize("ranges", [
+    {"weight_range": (-1, 3)},
+    {"weight_range": (4, 2)},
+    {"size_range": (3, 1)},
+    {"size_range": (-1, 2)},
+    {"cost_range": (-2, 1)},
+    {"cost_range": (2, 0)},
+    {"capacity_range": (5, 2)},
+    {"capacity_range": (-3, -1)},
+])
+def test_generator_rejects_bad_ranges(ranges):
+    """Every attribute range is checked alike, before any vertex is drawn."""
+    name = next(iter(ranges)).removesuffix("_range")
+    with pytest.raises(InvalidParamsError, match=f"bad {name} range"):
+        gen_random_cactus(8, seed=1, **ranges)

@@ -20,9 +20,29 @@ of m nodes is evaluated in m-1 *configurations*: configuration 1 is the
 tree as built, and configuration j >= 2 removes the tree edge between the
 path nodes at positions m-j and m-j+1 while re-attaching the lower part
 of the path (reversed) underneath the start node through the closing
-edge.  Every partition of the cycle shows up in at least one of these
-configurations, so the subtree set at the start node is the union over
-all of them.
+edge.  So configuration j lacks cycle edge j, counted from the start
+node backwards: edge 1 is the closing edge, edge j >= 2 joins positions
+m-j and m-j+1, and it holds exactly the partitions that cut that edge
+or no cycle edge at all.
+
+A partition that cuts the cycle cuts at least two of its edges, and no
+cluster of two or more vertices, open or closed, weighs more than
+``upper`` (merges check it).  Edges 1..J join the arc of the start node
+and path nodes m-1, ..., m-J; once that arc weighs more than ``upper``,
+no cluster holds all of it, so every partition cuts one of edges 1..J
+and shows up in one of configurations 1..J.  The subtree set at the
+start node is the union of configurations 1..J, J the first index whose
+arc is too heavy, or m-1 when none is (:func:`cycle_cutoff`).  A cycle
+then costs O(m * J) combines instead of (m - 1)^2.  A partition in a
+configuration past J is also in one of 1..J, with the same aux (cost,
+weight or capacity), so the lowest configuration holding a key with its
+best aux lies in 1..J: the tuple-set and dict-variant witnesses, which
+come from that configuration, do not change.  The interval engine's
+stored upper endpoints above ``upper`` may, and so may the witnesses of
+its walk, which tries the intervals of every configuration.  The
+algebras name what their window bounds in ``arc_limit``:
+``(per-vertex quantity, upper)``, sizes for the size-weight algebra and
+vertex weights for the others.
 
 The same traversal drives several payload algebras: a bitmask algebra for
 the tuple-set engine and the cost / size / capacity algebras of the
@@ -112,7 +132,8 @@ def run_tree_dp(tree, alg, config_sink=None):
     The result maps ``(v, i)`` to the algebra state of the subtree made of
     ``v`` and its first ``i`` children.  ``config_sink``, when given, is
     filled with the per-configuration states of every cycle, keyed by
-    ``(cycle, j)``.
+    ``(cycle, j)``, for the configurations ``1..cycle_cutoff(alg, cycle)``
+    that the run folds.
     """
     sets = {}
     for v in tree.postorder():
@@ -136,18 +157,43 @@ def run_tree_dp(tree, alg, config_sink=None):
 
 
 def _cycle_union(tree, alg, sets, cyc, start_state, config_sink):
-    """Union of the per-configuration states at the cycle's start node."""
+    """Union of configurations 1..J at the cycle's start node."""
     owns = cycle_node_states(tree, sets, cyc)
     configs = []
-    for j in range(1, cyc.length):
-        step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
-        joined, chains = fold_configuration(alg, step, owns, start_state, alg.combine)
-        edge, _positions, top = chains[-1]
-        state = alg.strip(alg.combine(joined[-1], top[-1], edge, step), step)
+    for j in range(1, cycle_cutoff(alg, cyc) + 1):
+        step, state = configuration_state(alg, cyc, j, owns, start_state)
         configs.append((j, step, state))
         if config_sink is not None:
             config_sink[(cyc, j)] = state
     return alg.union_configs(configs, cyc)
+
+
+def cycle_cutoff(alg, cyc):
+    """Number J of configurations whose union is the cycle's state.
+
+    J is the first index at which the start node and path nodes m-1, ...,
+    m-J together weigh more than the upper bound, in the quantity
+    ``alg.arc_limit`` names, and m-1 when no such index exists (see the
+    module docstring).
+    """
+    quantity, upper = alg.arc_limit
+    ws = cyc.path
+    m = len(ws)
+    arc = quantity[ws[0]]
+    for j in range(1, m - 1):
+        arc += quantity[ws[m - j]]
+        if arc > upper:
+            return j
+    return m - 1
+
+
+def configuration_state(alg, cyc, j, owns, start_state):
+    """``(step, state)`` of configuration ``j``: its fold, final join and
+    ``strip``.  ``owns`` comes from :func:`cycle_node_states`."""
+    step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
+    joined, chains = fold_configuration(alg, step, owns, start_state, alg.combine)
+    edge, _positions, top = chains[-1]
+    return step, alg.strip(alg.combine(joined[-1], top[-1], edge, step), step)
 
 
 def cycle_node_states(tree, sets, cyc):
@@ -221,7 +267,8 @@ class ContextMap:
     alias a tree state (a chain's bottom, the start state before any join)
     are named by the tree context.  :meth:`parts` inverts every context
     but a leaf ``(v, 0)`` and a cycle's start, whose state is the union of
-    :meth:`config_states`.  A configuration is refolded through
+    :meth:`config_states`, the configurations 1..J the run folded
+    (:func:`cycle_cutoff`).  A configuration is refolded through
     ``alg.join_states`` once, when first asked for, without its final
     join; ``lift`` must be the identity.
     """
@@ -233,15 +280,16 @@ class ContextMap:
         self.configs = configs  # the run's config_sink
         self.full = {v: (v, tree.full_index(v)) for v in tree.children}
         # keyed by the start context: a CycleRecord hashes its whole path
-        self._config_states: dict = {}  # start context -> states of configurations 1..m-1
+        self._config_states: dict = {}  # start context -> states of configurations 1..J
         self._folds: dict = {}  # (start context, j) -> (cycle, joined, chains)
 
     def config_states(self, start):
-        """States of configurations 1..m-1 of the cycle at ``start``."""
+        """States of configurations 1..J of the cycle at ``start``, J its
+        :func:`cycle_cutoff`: the ones the run folded and unioned."""
         found = self._config_states.get(start)
         if found is None:
             cyc = self.tree.cycle_at[start]
-            found = [self.configs[(cyc, j)] for j in range(1, cyc.length)]
+            found = [self.configs[(cyc, j)] for j in range(1, cycle_cutoff(self.alg, cyc) + 1)]
             self._config_states[start] = found
         return found
 
@@ -328,6 +376,7 @@ class MaskAlgebra(IdentityLift):
     def __init__(self, graph: CactusGraph, params: ProblemParams):
         self.graph = graph
         self.p = params.num_clusters
+        self.arc_limit = (graph.weight, params.upper)
         top = min(params.upper, graph.total_weight)
         self.full_mask = (1 << (top + 1)) - 1
         # clears the bits below ``lower`` without building a lower-wide mask
@@ -408,6 +457,7 @@ class TupleAlgebra(IdentityLift):
     def __init__(self, graph: CactusGraph, params: ProblemParams):
         self.graph = graph
         self.params = params
+        self.arc_limit = (graph.weight, params.upper)
 
     def base(self, v):
         return {(self.graph.weight[v], 1): (None, ("leaf", v))}
@@ -505,14 +555,19 @@ def subtree_sets(tree: CactusTree, params: ProblemParams):
 
 
 def cycle_config_sets(tree: CactusTree, params: ProblemParams, cycle: CycleRecord):
-    """Per-configuration tuple sets of one cycle, keyed by configuration index."""
+    """Per-configuration tuple sets of one cycle, keyed by configuration index.
+
+    Every configuration 1..m-1 is folded, including those past the
+    cycle's :func:`cycle_cutoff` that a run skips.
+    """
     _check_leaf_weights(tree.graph, params)
-    sink: dict = {}
-    run_tree_dp(tree, MaskAlgebra(tree.graph, params), config_sink=sink)
+    alg = MaskAlgebra(tree.graph, params)
+    states = run_tree_dp(tree, alg)
+    owns = cycle_node_states(tree, states, cycle)
+    start_state = states[(cycle.start, cycle.start_child_index - 1)]
     return {
-        j: _mask_state_to_set(state)
-        for (cyc, j), state in sink.items()
-        if cyc == cycle
+        j: _mask_state_to_set(configuration_state(alg, cycle, j, owns, start_state)[1])
+        for j in range(1, cycle.length)
     }
 
 

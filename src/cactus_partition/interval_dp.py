@@ -143,6 +143,7 @@ class IntervalAlgebra(IdentityLift):
         self.graph = graph
         self.lower, self.upper = params.lower, params.upper
         self.p, self.gap = params.num_clusters, params.gap
+        self.arc_limit = (graph.weight, params.upper)
 
     def base(self, v):
         w = self.graph.weight[v]

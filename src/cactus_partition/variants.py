@@ -155,6 +155,7 @@ class CostAlgebra(_BestPerKey):
         self.lower = lower
         self.upper = upper
         self.count_cap = count_cap
+        self.arc_limit = (graph.weight, upper)
 
     def combine(self, a, b, edge, step):
         # _put inlined: a candidate's record is built only when it is stored
@@ -251,6 +252,7 @@ class SizeWeightAlgebra(_BestPerKey):
         self.bound = bound
         self.maximize = maximize
         self.better = operator.gt if maximize else operator.lt
+        self.arc_limit = (graph.size, upper)  # sizes take the bounded role
 
     def base(self, v):
         return {(self.graph.size[v], 1): (self.graph.weight[v], ("leaf", v))}
@@ -382,6 +384,7 @@ class CapacityAlgebra(_BestPerKey):
         self.weight_upper = weight_upper
         self.capacity_upper = capacity_upper
         self.count_cap = graph.num_vertices
+        self.arc_limit = (graph.weight, weight_upper)
 
     def combine(self, a, b, edge, step):
         # _put inlined: a candidate's record is built only when it is stored

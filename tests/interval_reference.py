@@ -55,6 +55,7 @@ class IntervalAlgebra:
     def __init__(self, graph: CactusGraph, params: ProblemParams):
         self.graph = graph
         self.params = params
+        self.arc_limit = (graph.weight, params.upper)
 
     def base(self, v):
         w = self.graph.weight[v]

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +26,7 @@ from cactus_partition.errors import InvalidParamsError, WeightExceedsUpperError
 from cactus_partition.interval_dp import IntervalAlgebra
 from cactus_partition.tree_rep import absent_cycle_edge
 
-from util import graph_from, path, random_graph, triangle
+from util import arc_cutoff, graph_from, path, random_graph, rings_and_necklaces, triangle
 
 
 def test_oplus_basic():
@@ -202,36 +200,15 @@ def test_decide_agrees_with_oracle(seed, lower, span, p):
     assert decide_p_partition(g, params) == expected
 
 
-def _rings_and_necklaces():
-    """Seeded rings, necklaces (rings strung together at shared vertices,
-    with a pendant path) and random cacti."""
-    rng = random.Random(5)
-    for m in (3, 4, 7, 12):
-        ring = [f"r{i}" for i in range(m)]
-        yield graph_from({v: rng.randint(0, 4) for v in ring},
-                         [(ring[i], ring[(i + 1) % m]) for i in range(m)])
-    for beads, m in ((3, 4), (4, 6)):
-        edges, anchor = [], "b0_0"
-        for b in range(beads):
-            ring = [anchor] + [f"b{b}_{i}" for i in range(1, m)]
-            edges += [(ring[i], ring[(i + 1) % m]) for i in range(m)]
-            anchor = ring[m // 2]
-        edges += [(anchor, "t0"), ("t0", "t1")]
-        names = sorted({v for edge in edges for v in edge})
-        yield graph_from({v: rng.randint(0, 4) for v in names}, edges)
-    for seed in range(10):
-        yield random_graph(seed, n=16, cycle_density=0.8)
-
-
 @pytest.mark.parametrize("algebra", [MaskAlgebra, IntervalAlgebra])
 def test_context_map_parts_rebuild_the_stored_states(algebra):
     """Joining the parts the context map names for a context gives back its
     state: the stored state of a tree context, the stored configuration
     state (after ``strip``) and, inside a configuration, the state its
     parent context was split into.  A cycle's start state is the union of
-    the configuration states the map hands out."""
+    the configuration states the map hands out, configurations 1..J."""
     joins = 0
-    for g in _rings_and_necklaces():
+    for g in rings_and_necklaces():
         tree = build_tree(g)
         alg = algebra(g, ProblemParams(2, 7, g.num_vertices))
         configs: dict = {}
@@ -244,8 +221,9 @@ def test_context_map_parts_rebuild_the_stored_states(algebra):
             assert (a, b) == (states[a_ctx], states[b_ctx])
             assert alg.join_states(a, b, edge, None) == want
         for start, cyc in tree.cycle_at.items():
-            steps = [CycleStep(cyc, j, absent_cycle_edge(cyc, j)) for j in range(1, cyc.length)]
             wants = contexts.config_states(start)
+            assert len(wants) == arc_cutoff(cyc, g.weight, 7)
+            steps = [CycleStep(cyc, j, absent_cycle_edge(cyc, j)) for j in range(1, len(wants) + 1)]
             union = alg.union_configs([(s.j, s, w) for s, w in zip(steps, wants)], cyc)
             assert union == states[start]
             for step, want in zip(steps, wants):

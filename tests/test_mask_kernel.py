@@ -24,7 +24,7 @@ from cactus_partition import (
 from cactus_partition import dp_core
 from cactus_partition.dp_core import MaskAlgebra, TupleAlgebra, _mask_state_to_set, run_tree_dp
 
-from util import graph_from, path, random_graph
+from util import arc_cutoff, graph_from, path, random_graph, ring
 
 
 def _heavy_vertex(total):
@@ -82,18 +82,9 @@ def test_combine_matches_oplus_on_random_masks(a, b, lower, p):
     assert got == oplus(_mask_state_to_set(a), _mask_state_to_set(b), params)
 
 
-def _ring(m, seed):
-    rng = random.Random(seed)
-    names = [f"r{i}" for i in range(m)]
-    return graph_from(
-        {v: rng.randint(0, 5) for v in names},
-        [(names[i], names[(i + 1) % m]) for i in range(m)],
-    )
-
-
 @pytest.mark.parametrize("m", [3, 10, 31, 60, 100])
 def test_ring_states_match_recorded_algebra(m):
-    g = _ring(m, seed=m)
+    g = ring(m, seed=m)
     params = ProblemParams(3, 12, -(-g.total_weight // 12) + 2)
     tree = build_tree(g)
     mask_sink, tuple_sink = {}, {}
@@ -102,7 +93,9 @@ def test_ring_states_match_recorded_algebra(m):
     assert masked.keys() == recorded.keys()
     for ctx, state in masked.items():
         assert _mask_state_to_set(state) == recorded[ctx].keys()
-    assert mask_sink.keys() == tuple_sink.keys() and len(mask_sink) == m - 1
+    cutoff = arc_cutoff(tree.cycles[0], g.weight, params.upper)
+    assert m < 10 or cutoff < m - 1
+    assert mask_sink.keys() == tuple_sink.keys() and len(mask_sink) == cutoff
     for key, state in mask_sink.items():
         assert _mask_state_to_set(state) == tuple_sink[key].keys()
 

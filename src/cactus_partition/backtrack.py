@@ -43,8 +43,6 @@ so its depth is not bounded by the recursion limit either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dp_core import (
     ContextMap,
     MaskAlgebra,
@@ -54,12 +52,11 @@ from .dp_core import (
     run_tree_dp,
 )
 from .errors import WitnessNotFoundError
-from .graph_model import CactusGraph, Partition, canonicalize_partition
+from .graph_model import CactusGraph, Partition, canonicalize_partition, fields_repr
 from .interval_dp import IEntry, IntervalAlgebra
 from .tree_rep import CactusTree, absent_cycle_edge, as_tree
 
 
-@dataclass
 class AnnotatedRun:
     """A solver run kept for backtracking.
 
@@ -74,12 +71,25 @@ class AnnotatedRun:
     :class:`IEntry` values.
     """
 
-    tree: CactusTree
-    params: ProblemParams
-    algorithm: str
-    states: dict
-    root_state: dict | frozenset
-    configs: dict | None = None
+    __slots__ = ("tree", "params", "algorithm", "states", "root_state", "configs")
+
+    def __init__(self, tree: CactusTree, params: ProblemParams, algorithm: str,
+                 states: dict, root_state: dict | frozenset, configs: dict | None = None):
+        self.tree, self.params, self.algorithm = tree, params, algorithm
+        self.states, self.root_state, self.configs = states, root_state, configs
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return fields_repr(self, self.__slots__)
 
     @property
     def graph(self) -> CactusGraph:

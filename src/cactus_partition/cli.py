@@ -14,26 +14,21 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from functools import partial
-from typing import Callable, NamedTuple
+from importlib import import_module
 
-from . import variants
 from .backtrack import annotate, reconstruct
 from .dp_core import ProblemParams, state_cells, trivially_infeasible
 from .errors import GraphError, InvalidParamsError, TooLargeError
-from .generate import gen_random_cactus
 from .graph_model import validate_cactus
-from .oracle import (
-    enumerate_all,
-    oracle_capacity,
-    oracle_decide,
-    oracle_max,
-    oracle_maxmin,
-    oracle_min,
-    oracle_min_cost,
-    oracle_minmax,
-)
 from .tree_rep import build_tree
+
+
+def _load(module: str):
+    """A module of the package, imported on first use: a request loads
+    ``variants``, ``oracle`` or ``generate`` only if it runs them."""
+    return import_module(f".{module}", __package__)
 
 
 def _range_pair(text: str) -> tuple[int, int]:
@@ -112,15 +107,17 @@ def _decide(tree, args, algorithm, stats, witness=False):
 
 
 def _decide_oracle(catalog, args):
-    return (None,) if oracle_decide(catalog, args.l, args.u, args.p) else None
+    return (None,) if _load("oracle").oracle_decide(catalog, args.l, args.u, args.p) else None
 
 
-class _Variant(NamedTuple):
-    required: tuple  # flags the variant needs
-    optional: tuple  # further flags it accepts
-    engines: tuple  # accepted --algorithm values, the default first
-    solve: Callable  # (tree, args, engine, stats) -> None or (objective, partition)
-    oracle: Callable  # (catalog, args) -> None if infeasible, else the objective first
+class _Variant(namedtuple("_Variant", "required optional engines solve oracle")):
+    """One row of ``VARIANTS``: the flags the variant needs (``required``)
+    and further ones it accepts (``optional``), the accepted --algorithm
+    values (``engines``, the default first), ``solve(tree, args, engine,
+    stats)`` -> None or (objective, partition), and ``oracle(catalog,
+    args)`` -> None if infeasible, else the objective first."""
+
+    __slots__ = ()
 
 
 _LU, _LUP, _BOTH, _TUPLESET = ("l", "u"), ("l", "u", "p"), ("interval", "tupleset"), ("tupleset",)
@@ -129,33 +126,35 @@ VARIANTS = {
     "solve": _Variant(_LUP, (), _BOTH, partial(_decide, witness=True), _decide_oracle),
     "min": _Variant(
         _LU, (), _BOTH,
-        lambda t, a, e, s: variants.min_partition(t, a.l, a.u, algorithm=e, stats=s),
-        lambda c, a: oracle_min(c, a.l, a.u),
+        lambda t, a, e, s: _load("variants").min_partition(t, a.l, a.u, algorithm=e, stats=s),
+        lambda c, a: _load("oracle").oracle_min(c, a.l, a.u),
     ),
     "max": _Variant(
         _LU, (), _BOTH,
-        lambda t, a, e, s: variants.max_partition(t, a.l, a.u, algorithm=e, stats=s),
-        lambda c, a: oracle_max(c, a.l, a.u),
+        lambda t, a, e, s: _load("variants").max_partition(t, a.l, a.u, algorithm=e, stats=s),
+        lambda c, a: _load("oracle").oracle_max(c, a.l, a.u),
     ),
     "min-cost": _Variant(
         _LU, ("p",), _TUPLESET,
-        lambda t, a, e, s: variants.min_cost_partition(t, a.l, a.u, a.p, stats=s),
-        lambda c, a: oracle_min_cost(c, a.l, a.u, a.p),
+        lambda t, a, e, s: _load("variants").min_cost_partition(t, a.l, a.u, a.p, stats=s),
+        lambda c, a: _load("oracle").oracle_min_cost(c, a.l, a.u, a.p),
     ),
     "minmax": _Variant(
         _LUP, (), _TUPLESET,
-        lambda t, a, e, s: variants.minmax_partition(t, a.l, a.u, a.p, stats=s),
-        lambda c, a: oracle_minmax(c, a.l, a.u, a.p),
+        lambda t, a, e, s: _load("variants").minmax_partition(t, a.l, a.u, a.p, stats=s),
+        lambda c, a: _load("oracle").oracle_minmax(c, a.l, a.u, a.p),
     ),
     "maxmin": _Variant(
         _LUP, (), _TUPLESET,
-        lambda t, a, e, s: variants.maxmin_partition(t, a.l, a.u, a.p, stats=s),
-        lambda c, a: oracle_maxmin(c, a.l, a.u, a.p),
+        lambda t, a, e, s: _load("variants").maxmin_partition(t, a.l, a.u, a.p, stats=s),
+        lambda c, a: _load("oracle").oracle_maxmin(c, a.l, a.u, a.p),
     ),
     "capacity": _Variant(
         ("lw", "uw", "uc"), (), _TUPLESET,
-        lambda t, a, e, s: variants.capacity_partition(t, a.lw, a.uw, a.uc, a.objective, stats=s),
-        lambda c, a: oracle_capacity(c, a.lw, a.uw, a.uc, a.objective),
+        lambda t, a, e, s: _load("variants").capacity_partition(
+            t, a.lw, a.uw, a.uc, a.objective, stats=s
+        ),
+        lambda c, a: _load("oracle").oracle_capacity(c, a.lw, a.uw, a.uc, a.objective),
     ),
 }
 
@@ -199,6 +198,8 @@ def _run_solve(args) -> int:
     tree = build_tree(graph, args.root)
     spec = VARIANTS[args.variant]
     algorithm = args.algorithm or spec.engines[0]
+    if args.variant not in ("decide", "solve"):
+        _load("variants")  # before the timer: wall_ms times the solve, not the import
     stats: dict = {}
     started = time.perf_counter()
     try:
@@ -225,7 +226,7 @@ def _run_solve(args) -> int:
     }
     if args.oracle:
         try:
-            expected = spec.oracle(enumerate_all(graph), args)
+            expected = spec.oracle(_load("oracle").enumerate_all(graph), args)
         except TooLargeError as exc:
             return _usage_error(str(exc))
         agrees = feasible and objective == expected[0] if expected is not None else not feasible
@@ -237,7 +238,7 @@ def _run_solve(args) -> int:
 
 def _run_gen(args) -> int:
     try:
-        document = gen_random_cactus(
+        document = _load("generate").gen_random_cactus(
             args.vertices,
             cycle_density=args.cycle_density,
             weight_range=args.weight_range,

@@ -60,15 +60,14 @@ the tuple-set witnesses with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParamsError, WeightExceedsUpperError
 from .graph_model import CactusGraph, edge_key
 from .tree_rep import CactusTree, CycleRecord, absent_cycle_edge, build_tree
 
 
-@dataclass(frozen=True)
-class ProblemParams:
+class ProblemParams(namedtuple("ProblemParams", "lower upper num_clusters")):
     """Parameters of a fixed-count partition problem.
 
     ``lower``/``upper`` bound every cluster weight and ``num_clusters``
@@ -76,36 +75,29 @@ class ProblemParams:
     drives the interval compression of the polynomial solver.
     """
 
-    lower: int
-    upper: int
-    num_clusters: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("lower", "upper", "num_clusters"):
-            value = getattr(self, name)
+    def __new__(cls, lower: int, upper: int, num_clusters: int):
+        for name, value in (("lower", lower), ("upper", upper), ("num_clusters", num_clusters)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
-        if self.lower < 0 or self.upper < 0:
+        if lower < 0 or upper < 0:
             raise InvalidParamsError("weight bounds must be non-negative")
-        if self.lower > self.upper:
-            raise InvalidParamsError(
-                f"lower bound {self.lower} exceeds upper bound {self.upper}"
-            )
-        if self.num_clusters < 1:
+        if lower > upper:
+            raise InvalidParamsError(f"lower bound {lower} exceeds upper bound {upper}")
+        if num_clusters < 1:
             raise InvalidParamsError("cluster count must be positive")
+        return super().__new__(cls, lower, upper, num_clusters)
 
     @property
     def gap(self) -> int:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class CycleStep:
+class CycleStep(namedtuple("CycleStep", "cycle j absent_edge")):
     """Context of one cycle configuration while folding its path."""
 
-    cycle: CycleRecord
-    j: int
-    absent_edge: tuple[str, str]
+    __slots__ = ()
 
 
 def trivially_infeasible(graph: CactusGraph, params: ProblemParams) -> str | None:

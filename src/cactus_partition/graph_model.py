@@ -15,7 +15,7 @@ tree for any other root runs its own search.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     AttributeOverflowError,
@@ -36,19 +36,37 @@ def edge_key(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class CactusGraph:
-    """A validated cactus graph. Build instances through :func:`validate_cactus`."""
+def fields_repr(obj, names) -> str:
+    """``Class(name=value, ...)`` over ``names``: a repr that leaves fields out."""
+    return f"{type(obj).__name__}({', '.join(f'{n}={getattr(obj, n)!r}' for n in names)})"
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    weight: dict[str, int]
-    size: dict[str, int]
-    cost: dict[Edge, int]
-    capacity: dict[Edge, int]
-    adjacency: dict[str, tuple[str, ...]] = field(repr=False)
-    # dfs_tree(adjacency, min(vertices)), the default root's search
-    dfs: tuple | None = field(default=None, repr=False, compare=False)
+
+class CactusGraph(namedtuple(
+    "CactusGraph", "vertices edges weight size cost capacity adjacency dfs", defaults=(None,)
+)):
+    """A validated cactus graph. Build instances through :func:`validate_cactus`.
+
+    ``weight``/``size`` map vertices and ``cost``/``capacity`` edges (in
+    :func:`edge_key` form) to integers.  ``dfs`` is ``dfs_tree(adjacency,
+    min(vertices))``, the default root's search: equality, hashing and the
+    repr leave it out, and the repr leaves out ``adjacency`` too.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:7] == other[:7]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:7])
+
+    def __repr__(self):
+        return fields_repr(self, self._fields[:6])
 
     @property
     def num_vertices(self) -> int:
@@ -76,12 +94,13 @@ class CactusGraph:
         }
 
 
-def _check_attr(value, name: str, owner: str) -> int:
+def _check_attr(value, name: str, owner: str) -> None:
+    """Raise unless ``value`` is a non-negative int (not a bool); the slow
+    path of ``validate_cactus``, which passes plain ints inline."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise NegativeAttributeError(
             f"{name} of {owner} must be a non-negative integer, got {value!r}"
         )
-    return value
 
 
 def validate_cactus(raw: dict) -> CactusGraph:
@@ -112,8 +131,11 @@ def validate_cactus(raw: dict) -> CactusGraph:
         vid = str(entry["id"])
         if vid in weight:
             raise GraphError(f"duplicate vertex id {vid!r}")
-        w = _check_attr(entry.get("weight", 0), "weight", vid)
-        s = _check_attr(entry.get("size", w), "size", vid)
+        w = entry.get("weight", 0)
+        s = entry.get("size", w)
+        if w.__class__ is not int or s.__class__ is not int or w < 0 or s < 0:
+            _check_attr(w, "weight", vid)
+            _check_attr(s, "size", vid)
         vertices.append(vid)
         weight[vid] = w
         size[vid] = s
@@ -135,9 +157,14 @@ def validate_cactus(raw: dict) -> CactusGraph:
         key = edge_key(u, v)
         if key in cost:
             raise NotSimpleError(f"parallel edge {key!r}")
+        c = entry.get("cost", 0)
+        cap = entry.get("capacity", 0)
+        if c.__class__ is not int or cap.__class__ is not int or c < 0 or cap < 0:
+            _check_attr(c, "cost", f"edge {key!r}")
+            _check_attr(cap, "capacity", f"edge {key!r}")
         edges.append(key)
-        cost[key] = _check_attr(entry.get("cost", 0), "cost", f"edge {key!r}")
-        capacity[key] = _check_attr(entry.get("capacity", 0), "capacity", f"edge {key!r}")
+        cost[key] = c
+        capacity[key] = cap
         neighbours[u].append(v)
         neighbours[v].append(u)
 
@@ -226,8 +253,7 @@ def dfs_tree(adjacency: dict, root: str) -> tuple[dict, dict, list]:
     return parent, children, cycle_paths
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "clusters cut_edges weights sizes capacities cost")):
     """A partition of the vertex set into connected clusters.
 
     ``clusters`` are the connected components left after deleting
@@ -236,12 +262,7 @@ class Partition:
     precomputed so oracle filters and validity checks stay cheap.
     """
 
-    clusters: tuple[tuple[str, ...], ...]
-    cut_edges: tuple[Edge, ...]
-    weights: tuple[int, ...]
-    sizes: tuple[int, ...]
-    capacities: tuple[int, ...]
-    cost: int
+    __slots__ = ()
 
     @property
     def num_clusters(self) -> int:

@@ -38,7 +38,7 @@ the raw combinations that land on the interval it needs (see
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .dp_core import (
     IdentityLift,
@@ -120,7 +120,7 @@ def interval_oplus(a, b, params: ProblemParams):
     return {k: sorted(set(ivs)) for k, ivs in out.items()}
 
 
-class IEntry(NamedTuple):
+class IEntry(namedtuple("IEntry", "lo hi")):
     """One stored root interval, as ``annotate`` hands it out.
 
     ``lo`` is the smallest achievable weight of its run.  ``hi`` is the
@@ -129,8 +129,7 @@ class IEntry(NamedTuple):
     ``upper`` lies in ``(lower, upper]`` (see the module docstring).
     """
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
     def intersects(self, lo: int, hi: int) -> bool:
         return self.lo <= hi and self.hi >= lo

@@ -10,18 +10,17 @@ clusters around pivot vertices) cross-checks the catalog itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import TooLargeError
 from .graph_model import CactusGraph, Partition, canonicalize_partition
 
 
-@dataclass(frozen=True)
-class PartitionCatalog:
-    """Every connected partition of a graph, each exactly once."""
+class PartitionCatalog(namedtuple("PartitionCatalog", "graph partitions")):
+    """Every connected partition of ``graph``, each exactly once, in
+    ``partitions``; its length is the number of partitions."""
 
-    graph: CactusGraph
-    partitions: tuple[Partition, ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.partitions)

@@ -20,39 +20,42 @@ once for several solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .graph_model import CactusGraph, Edge, dfs_tree, edge_key
+from .graph_model import CactusGraph, Edge, dfs_tree, edge_key, fields_repr
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """One cycle, stored as its root-to-descendant tree path."""
+class CycleRecord(namedtuple("CycleRecord", "start end path closing_edge start_child_index")):
+    """One cycle, stored as its root-to-descendant tree path.
 
-    start: str
-    end: str
-    path: tuple[str, ...]
-    closing_edge: Edge
-    start_child_index: int  # 1-based position of path[1] among start's children
+    ``path`` runs from ``start`` to ``end``, ``closing_edge`` is the graph
+    edge between them, and ``start_child_index`` the 1-based position of
+    ``path[1]`` among start's children.
+    """
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:
         return len(self.path)
 
 
-@dataclass(frozen=True)
-class CactusTree:
-    """DFS tree of a cactus graph with ordered children and cycle records."""
+class CactusTree(namedtuple(
+    "CactusTree", "graph root parent children cycles on_cycle_child cycle_at"
+)):
+    """DFS tree of a cactus graph with ordered children and cycle records.
 
-    graph: CactusGraph
-    root: str
-    parent: dict[str, str | None] = field(repr=False)
-    children: dict[str, tuple[str, ...]] = field(repr=False)
-    cycles: tuple[CycleRecord, ...]
-    # interior cycle node -> its (last) on-cycle child
-    on_cycle_child: dict[str, str] = field(repr=False)
-    # (start node, 1-based child index) -> cycle starting there
-    cycle_at: dict[tuple[str, int], CycleRecord] = field(repr=False)
+    ``parent`` and ``children`` (tuples, in the order the DP folds them)
+    describe the tree; ``on_cycle_child`` maps an interior cycle node to
+    its (last) on-cycle child, and ``cycle_at`` maps (start node, 1-based
+    child index) to the cycle starting there.  The repr shows only
+    ``graph``, ``root`` and ``cycles``.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return fields_repr(self, ("graph", "root", "cycles"))
 
     def postorder(self) -> list[str]:
         order = []

@@ -37,7 +37,6 @@ Every entry point takes a graph or a ``CactusTree`` built from one (its
 from __future__ import annotations
 
 import operator
-from dataclasses import replace
 
 from .backtrack import annotate, collect_cuts, reconstruct
 from .dp_core import (
@@ -136,7 +135,8 @@ def _extreme_partition(graph, lower, upper, root, algorithm, minimize, stats=Non
         return None
     count = min(feasible) if minimize else max(feasible)
     # the count-cap-n states hold every smaller count's states unchanged
-    return count, reconstruct(replace(run, params=ProblemParams(lower, upper, count)))
+    run.params = ProblemParams(lower, upper, count)
+    return count, reconstruct(run)
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,13 @@ def _emit(document, code: int) -> int:
 
 def _decide(tree, args, algorithm, stats, witness=False):
     params = ProblemParams(args.l, args.u, args.p)
-    if trivially_infeasible(tree.graph, params):
+    stats["reason"] = trivially_infeasible(tree.graph, params)
+    if stats["reason"]:
         return None
     run_state = annotate(tree, params, algorithm)
     stats["dp_cells"] = state_cells(run_state.states, algorithm)
     if params.num_clusters not in run_state.feasible_counts():
+        stats["reason"] = "no partition found by the DP"
         return None
     return None, reconstruct(run_state) if witness else None
 
@@ -224,6 +226,8 @@ def _run_solve(args) -> int:
             "algorithm": algorithm,
         },
     }
+    if stats.get("reason"):  # decide/solve name why they found no partition
+        result["stats"]["reason"] = stats["reason"]
     if args.oracle:
         try:
             expected = spec.oracle(_load("oracle").enumerate_all(graph), args)

@@ -33,7 +33,10 @@ no cluster holds all of it, so every partition cuts one of edges 1..J
 and shows up in one of configurations 1..J.  The subtree set at the
 start node is the union of configurations 1..J, J the first index whose
 arc is too heavy, or m-1 when none is (:func:`cycle_cutoff`).  A cycle
-then costs O(m * J) combines instead of (m - 1)^2.  A partition in a
+then costs O(m * J) combines instead of (m - 1)^2, folded in one pass
+(:func:`_fold_configurations`) that sets up the path edges once and
+skips ``lift``/``strip`` for algebras whose states ignore the
+configuration.  A partition in a
 configuration past J is also in one of 1..J, with the same aux (cost,
 weight or capacity), so the lowest configuration holding a key with its
 best aux lies in 1..J: the tuple-set and dict-variant witnesses, which
@@ -51,11 +54,12 @@ optimisation variants.  The bitmask and interval states keep no records:
 :class:`ContextMap` is the one inverse of the traversal that both walks
 use: it names every partial state, including the joined states and chain
 states inside a cycle configuration, and hands out the two states and
-the edge each was combined from, refolding through
-:func:`fold_configuration` only the configurations a walk passes
-through.  ``TupleAlgebra``, a recorded algebra whose entries remember one
-witness combination each, stays here as the reference the tests compare
-the tuple-set witnesses with.
+the edge each was combined from, refolding only the configurations a
+walk passes through.  ``TupleAlgebra``, a recorded algebra whose entries
+remember one witness combination each, stays here as the reference the
+tests compare the tuple-set witnesses with.  The deciders answer "no"
+without building a tree when :func:`trivially_infeasible` finds a
+reason, such as a total weight no ``p`` clusters in the window can make.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from collections import namedtuple
 
 from .errors import InvalidParamsError, WeightExceedsUpperError
 from .graph_model import CactusGraph, edge_key
-from .tree_rep import CactusTree, CycleRecord, absent_cycle_edge, build_tree
+from .tree_rep import CactusTree, CycleRecord, build_tree
 
 
 class ProblemParams(namedtuple("ProblemParams", "lower upper num_clusters")):
@@ -101,16 +105,20 @@ class CycleStep(namedtuple("CycleStep", "cycle j absent_edge")):
 
 
 def trivially_infeasible(graph: CactusGraph, params: ProblemParams) -> str | None:
-    """Reason the instance cannot have a solution, or None.
-
-    A single vertex heavier than the upper bound can never sit in a valid
-    cluster, and more clusters than vertices are impossible.  The solvers
-    answer "no" for these without running the dynamic program.
-    """
-    if params.num_clusters > graph.num_vertices:
+    """Why no partition into exactly ``p`` clusters exists, or None, from
+    four checks: ``p`` exceeds the vertex count, a vertex outweighs
+    ``upper``, ``p * lower > W`` or ``p * upper < W`` (``W`` the total
+    weight).  The last two need an exact count: a caller whose ``p`` is a
+    cap checks the vertex weights alone."""
+    p, total = params.num_clusters, graph.total_weight
+    if p > graph.num_vertices:
         return "more clusters requested than vertices"
     if graph.max_weight > params.upper:
         return "a vertex weight exceeds the upper bound"
+    if p * params.lower > total:
+        return "the clusters' lower bounds add up to more than the total weight"
+    if p * params.upper < total:
+        return "the clusters' upper bounds add up to less than the total weight"
     return None
 
 
@@ -135,8 +143,13 @@ def run_tree_dp(tree, alg, config_sink=None):
         on_cyc = tree.on_cycle_child.get(v)
         for idx, child in enumerate(kids, start=1):
             cyc = tree.cycle_at.get((v, idx))
-            if cyc is not None:
-                state = _cycle_union(tree, alg, sets, cyc, state, config_sink)
+            if cyc is not None:  # the union of configurations 1..J
+                js = range(1, cycle_cutoff(alg, cyc) + 1)
+                owns = cycle_node_states(tree, sets, cyc)
+                configs = _fold_configurations(alg, cyc, js, owns, state, alg.combine)
+                if config_sink is not None:
+                    config_sink.update(((cyc, j), config) for j, _step, config in configs)
+                state = alg.union_configs(configs, cyc)
             elif child == on_cyc:
                 # combined at the cycle's start node instead; must be last
                 assert idx == len(kids)
@@ -146,18 +159,6 @@ def run_tree_dp(tree, alg, config_sink=None):
                 state = alg.combine(state, child_state, edge_key(v, child), None)
             sets[(v, idx)] = state
     return sets
-
-
-def _cycle_union(tree, alg, sets, cyc, start_state, config_sink):
-    """Union of configurations 1..J at the cycle's start node."""
-    owns = cycle_node_states(tree, sets, cyc)
-    configs = []
-    for j in range(1, cycle_cutoff(alg, cyc) + 1):
-        step, state = configuration_state(alg, cyc, j, owns, start_state)
-        configs.append((j, step, state))
-        if config_sink is not None:
-            config_sink[(cyc, j)] = state
-    return alg.union_configs(configs, cyc)
 
 
 def cycle_cutoff(alg, cyc):
@@ -180,12 +181,8 @@ def cycle_cutoff(alg, cyc):
 
 
 def configuration_state(alg, cyc, j, owns, start_state):
-    """``(step, state)`` of configuration ``j``: its fold, final join and
-    ``strip``.  ``owns`` comes from :func:`cycle_node_states`."""
-    step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
-    joined, chains = fold_configuration(alg, step, owns, start_state, alg.combine)
-    edge, _positions, top = chains[-1]
-    return step, alg.strip(alg.combine(joined[-1], top[-1], edge, step), step)
+    """``(step, state)`` of configuration ``j`` (:func:`_fold_configurations`)."""
+    return _fold_configurations(alg, cyc, (j,), owns, start_state, alg.combine)[0][1:]
 
 
 def cycle_node_states(tree, sets, cyc):
@@ -198,53 +195,69 @@ def cycle_node_states(tree, sets, cyc):
 
 
 def fold_configuration(alg, step, owns, start_state, combine):
-    """Fold one cycle configuration into its start node's state.
+    """``(joined, chains)`` of configuration ``step.j``, before its last
+    join (see :func:`_fold_configurations`)."""
+    return _fold_configurations(alg, step.cycle, (step.j,), owns, start_state, combine, True)[0]
 
-    In configuration j the cycle path splits in two chains that are folded
-    from their deepest node upwards: the remainder of the original path
-    under the first path child, and (for j >= 2) the reversed tail hanging
-    off the start node through the closing edge.  The two nodes incident
-    to the configuration's absent edge sit at the bottoms of these chains;
-    algebras that charge the absent edge (capacities) mark them via
-    ``lift(..., charged=True)``.  The chain tops are then combined into
-    the (lifted) start state, the first chain through the edge to the
-    first path child and the second through the closing edge; the last
-    of these joins is left to the caller, because the witness walks only
-    read the states before it.
 
-    ``owns`` comes from :func:`cycle_node_states`; ``combine`` is the
-    algebra's combine or a function with its signature.  Returns
-    ``(joined, chains)``.  ``chains`` lists ``(edge, positions, states)``
-    in joining order: ``edge`` joins the chain top to the start node,
-    ``positions`` are the chain's path positions from the bottom up, and
-    ``states[t]`` is the chain folded up to ``positions[t]``.  ``joined``
-    holds the lifted start state and the state after each chain but the
-    last is joined: ``joined[n]`` is what chain n is joined into.
-    Joining the last chain into ``joined[-1]`` and stripping the result
-    gives the configuration's state.
+def _fold_configurations(alg, cyc, js, owns, start_state, combine, walk=False):
+    """Fold configurations ``js`` of ``cyc``: the package's one fold loop.
+
+    In configuration j the cycle path splits in two chains, each folded
+    from its deepest node upwards: the rest of the original path under the
+    first path child, and (for j >= 2) the reversed tail hanging off the
+    start node through the closing edge.  The chain bottoms are the two
+    nodes of the absent edge; algebras that charge it (capacities) mark
+    them via ``lift(..., charged=True)``.  The chain tops are then joined
+    into the lifted start state, through the edge to the first path child
+    and through the closing edge.  ``owns`` comes from
+    :func:`cycle_node_states`; ``combine`` is the algebra's combine or a
+    function with its signature.
+
+    Returns ``(j, step, state)`` per configuration, its state joined and
+    stripped.  With ``walk``, returns ``(joined, chains)`` per
+    configuration instead, without the last join, which the witness walks
+    do not read.  ``chains`` lists ``(edge, positions, states)`` in joining
+    order: ``edge`` joins the chain top to the start node, ``positions``
+    are the chain's path positions from the bottom up, and ``states[t]``
+    is the chain folded up to ``positions[t]``.  ``joined[n]`` is the
+    state chain n is joined into; joining the last chain into
+    ``joined[-1]`` and stripping the result gives the configuration's
+    state.
     """
-    cyc, j = step.cycle, step.j
     ws = cyc.path
     m = len(ws)
-    spans = []  # (edge to the start node, positions, offset of the node below)
-    if j < m:
-        bottom = m - 1 if j == 1 else m - j
-        spans.append((edge_key(ws[0], ws[1]), range(bottom, 0, -1), 1))
-    if j >= 2:
-        spans.append((cyc.closing_edge, range(m - j + 1, m), -1))
-    chains = []
-    for edge, positions, below in spans:
-        states = []
-        t = None
-        for i in positions:
-            own = alg.lift(owns[i], step, charged=t is None)
-            t = own if t is None else combine(own, t, edge_key(ws[i], ws[i + below]), step)
-            states.append(t)
-        chains.append((edge, positions, states))
-    joined = [alg.lift(start_state, step, charged=(j == 1 or j == m))]
-    for edge, _positions, states in chains[:-1]:
-        joined.append(combine(joined[-1], states[-1], edge, step))
-    return joined, chains
+    edges = [edge_key(ws[i], ws[i + 1]) for i in range(m - 1)]  # edges[i]: positions i, i + 1
+    closing = cyc.closing_edge
+    lifts = type(alg).lift is not IdentityLift.lift
+    out = []
+    for j in js:
+        step = CycleStep(cyc, j, closing if j == 1 else edges[m - j])
+        low, high = (m - 1 if j == 1 else m - j), m - j + 1  # chain bottoms; 0, m: no chain
+        own, state = owns, start_state
+        if lifts:
+            own = [None] + [alg.lift(owns[i], step, i in (low, high)) for i in range(1, m)]
+            state = alg.lift(start_state, step, j in (1, m))
+        joined, chains = [state], []
+        if low:  # the path under the first path child, bottom up
+            states = [own[low]]
+            for i in range(low - 1, 0, -1):
+                states.append(combine(own[i], states[-1], edges[i], step))
+            if walk:
+                chains.append((edges[0], range(low, 0, -1), states))
+            if not walk or high < m:  # a walk stops before the last join
+                joined.append(combine(state, states[-1], edges[0], step))
+        if high < m:  # the reversed tail off the closing edge, bottom up
+            states = [own[high]]
+            for i in range(high + 1, m):
+                states.append(combine(own[i], states[-1], edges[i - 1], step))
+            if walk:
+                chains.append((closing, range(high, m), states))
+            else:
+                joined.append(combine(joined[-1], states[-1], closing, step))
+        state = alg.strip(joined[-1], step) if lifts and not walk else joined[-1]
+        out.append((joined, chains) if walk else (j, step, state))
+    return out
 
 
 class ContextMap:
@@ -300,12 +313,11 @@ class ContextMap:
         folded = self._folds.get((start, j))
         if folded is None:
             cyc = self.tree.cycle_at[start]
-            step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
             owns = cycle_node_states(self.tree, self.states, cyc)
             start_state = self.states[(start[0], start[1] - 1)]
-            folded = self._folds[(start, j)] = (cyc,) + fold_configuration(
-                self.alg, step, owns, start_state, self.alg.join_states
-            )
+            folded = self._folds[(start, j)] = (cyc,) + _fold_configurations(
+                self.alg, cyc, (j,), owns, start_state, self.alg.join_states, walk=True
+            )[0]
         cyc, joined, chains = folded
         if len(ctx) == 3:  # chain c's top joined into the start state
             c = len(chains) - 1 if n is None else n - 1

@@ -126,7 +126,7 @@ def max_partition(graph, lower, upper, root=None, algorithm="interval", stats=No
 def _extreme_partition(graph, lower, upper, root, algorithm, minimize, stats=None):
     tree = as_tree(graph, root)
     params = ProblemParams(lower, upper, tree.graph.num_vertices)
-    if trivially_infeasible(tree.graph, params):
+    if tree.graph.max_weight > upper:  # n is a cap: the count bounds do not apply
         return None
     run = annotate(tree, params, algorithm)
     _record_cells(stats, run.states, algorithm)
@@ -221,7 +221,10 @@ def min_cost_partition(graph, lower, upper, num_clusters=None, root=None, stats=
     tree = as_tree(graph, root)
     graph = tree.graph
     count_cap = graph.num_vertices if num_clusters is None else num_clusters
-    if trivially_infeasible(graph, ProblemParams(lower, upper, count_cap)):
+    params = ProblemParams(lower, upper, count_cap)
+    # without num_clusters the count is a cap: the count bounds do not apply
+    exact = num_clusters is not None
+    if graph.max_weight > upper or (exact and trivially_infeasible(graph, params)):
         return None
     alg = CostAlgebra(graph, lower, upper, count_cap)
     found = _best_witness(tree, alg, stats, lambda key, cost: (
@@ -458,12 +461,12 @@ def capacity_partition(
     """
     if objective not in ("min", "max"):
         raise InvalidParamsError(f"objective must be 'min' or 'max', got {objective!r}")
-    params = ProblemParams(weight_lower, weight_upper, 1)
+    ProblemParams(weight_lower, weight_upper, 1)  # checks the weight window
     if not isinstance(capacity_upper, int) or isinstance(capacity_upper, bool) or capacity_upper < 0:
         raise InvalidParamsError("capacity bound must be a non-negative integer")
     tree = as_tree(graph, root)
     graph = tree.graph
-    if trivially_infeasible(graph, params):
+    if graph.max_weight > weight_upper:
         return None
     alg = CapacityAlgebra(graph, weight_lower, weight_upper, capacity_upper)
     sign = 1 if objective == "min" else -1  # rank by count, or by count descending

@@ -11,25 +11,18 @@ import sys
 # home module -> the public names it defines
 _HOMES = {
     "backtrack": ("AnnotatedRun", "annotate", "reconstruct"),
-    "dp_core": (
-        "ProblemParams", "cycle_config_set", "cycle_config_sets", "decide_p_partition",
-        "leaf_set", "oplus", "root_set", "subtree_sets", "trivially_infeasible",
-    ),
+    "dp_core": ("ProblemParams", "decide_p_partition", "trivially_infeasible"),
     "errors": ("errors",),
     "generate": ("gen_random_cactus",),
     "graph_model": (
         "CactusGraph", "Partition", "canonicalize_partition", "edge_key", "validate_cactus",
     ),
-    "interval_dp": (
-        "decide_p_partition_poly", "interval_oplus", "interval_subtree_sets", "intervals_of",
-        "merge",
-    ),
+    "interval_dp": ("decide_p_partition_poly", "interval_subtree_sets", "merge"),
     "oracle": (
-        "PartitionCatalog", "connected_partitions_grown", "enumerate_all", "oracle_capacity",
-        "oracle_decide", "oracle_max", "oracle_maxmin", "oracle_min", "oracle_min_cost",
-        "oracle_minmax", "oracle_root_tuples",
+        "PartitionCatalog", "enumerate_all", "oracle_capacity", "oracle_decide", "oracle_max",
+        "oracle_maxmin", "oracle_min", "oracle_min_cost", "oracle_minmax",
     ),
-    "tree_rep": ("CactusTree", "CycleRecord", "build_tree", "configuration_edges"),
+    "tree_rep": ("CactusTree", "CycleRecord", "build_tree"),
     "variants": (
         "capacity_partition", "max_partition", "maxmin_partition", "min_cost_partition",
         "min_partition", "minmax_partition",

@@ -293,11 +293,14 @@ class _IntervalWalk:
     """Depth-first search for an interval witness over the contexts of a
     :class:`ContextMap`, recomputing the records it would have kept."""
 
-    def __init__(self, run: AnnotatedRun):
+    def __init__(self, run: AnnotatedRun, count: int):
         self.tree = run.tree
         self.lower, self.upper = run.params.lower, run.params.upper
+        # as for the tuple-set walk: entries with counts up to ``count`` do
+        # not depend on the count cap, so chains are refolded under it
+        params = ProblemParams(self.lower, self.upper, count)
         self.contexts = ContextMap(
-            run.tree, IntervalAlgebra(run.graph, run.params), run.states, run.configs
+            run.tree, IntervalAlgebra(run.graph, params), run.states, run.configs
         )
         self._done: dict = {}  # completed clusters: (context, k, lo, hi) -> result
 
@@ -395,7 +398,8 @@ def reconstruct(run: AnnotatedRun, target=None) -> Partition:
     For the tuple solver ``target`` is a ``(weight, count)`` pair from the
     root set (defaulting to the feasible tuple with the smallest weight).
     For the interval solver it is an ``(low, high, count)`` triple of a
-    stored root interval meeting the weight window (same default rule).
+    stored root interval meeting the weight window, at any count the run
+    stored (same default rule).
     Raises :class:`WitnessNotFoundError` when no target qualifies; for a
     feasible instance that indicates a solver bug.
     """
@@ -413,18 +417,18 @@ def reconstruct(run: AnnotatedRun, target=None) -> Partition:
             raise WitnessNotFoundError("no feasible root tuple to reconstruct")
         return canonicalize_partition(run.graph, _mask_witness_cuts(run, key))
 
-    entries = run.root_state.get(params.num_clusters, ())
-    if target is not None:
-        lo, hi, _k = target
-        entries = [e for e in entries if (e.lo, e.hi) == (lo, hi)]
-    walk = _IntervalWalk(run)
+    if target is None:
+        k = params.num_clusters
+        entries = run.root_state.get(k, ())
+    else:
+        lo, hi, k = target
+        entries = [e for e in run.root_state.get(k, ()) if (e.lo, e.hi) == (lo, hi)]
+    walk = _IntervalWalk(run, k)
     root_ctx = (run.tree.root, run.tree.full_index(run.tree.root))
     for entry in sorted(entries):
         if not entry.intersects(params.lower, params.upper):
             continue
-        found = walk.first(walk.frame(
-            root_ctx, params.num_clusters, entry.lo, entry.hi, params.lower, params.upper
-        ))
+        found = walk.first(walk.frame(root_ctx, k, entry.lo, entry.hi, params.lower, params.upper))
         if found is not None:
             return canonicalize_partition(run.graph, _cut_edges(found[1]))
     raise WitnessNotFoundError("no feasible root interval to reconstruct")

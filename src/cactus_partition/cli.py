@@ -22,7 +22,7 @@ from .backtrack import annotate, reconstruct
 from .dp_core import ProblemParams, state_cells, trivially_infeasible
 from .errors import GraphError, InvalidParamsError, TooLargeError
 from .graph_model import validate_cactus
-from .tree_rep import build_tree
+from .tree_rep import build_tree, graph_of
 
 
 def _load(module: str):
@@ -95,12 +95,12 @@ def _emit(document, code: int) -> int:
     return code
 
 
-def _decide(tree, args, algorithm, stats, witness=False):
+def _decide(source, args, algorithm, stats, witness=False):
     params = ProblemParams(args.l, args.u, args.p)
-    stats["reason"] = trivially_infeasible(tree.graph, params)
+    stats["reason"] = trivially_infeasible(graph_of(source), params)
     if stats["reason"]:
         return None
-    run_state = annotate(tree, params, algorithm)
+    run_state = annotate(source, params, algorithm, root=args.root)
     stats["dp_cells"] = state_cells(run_state.states, algorithm)
     if params.num_clusters not in run_state.feasible_counts():
         stats["reason"] = "no partition found by the DP"
@@ -115,9 +115,11 @@ def _decide_oracle(catalog, args):
 class _Variant(namedtuple("_Variant", "required optional engines solve oracle")):
     """One row of ``VARIANTS``: the flags the variant needs (``required``)
     and further ones it accepts (``optional``), the accepted --algorithm
-    values (``engines``, the default first), ``solve(tree, args, engine,
+    values (``engines``, the default first), ``solve(source, args, engine,
     stats)`` -> None or (objective, partition), and ``oracle(catalog,
-    args)`` -> None if infeasible, else the objective first."""
+    args)`` -> None if infeasible, else the objective first.  ``source``
+    is the graph, which the solver roots at ``args.root``, or that tree
+    when the output shows it."""
 
     __slots__ = ()
 
@@ -128,33 +130,43 @@ VARIANTS = {
     "solve": _Variant(_LUP, (), _BOTH, partial(_decide, witness=True), _decide_oracle),
     "min": _Variant(
         _LU, (), _BOTH,
-        lambda t, a, e, s: _load("variants").min_partition(t, a.l, a.u, algorithm=e, stats=s),
+        lambda t, a, e, s: _load("variants").min_partition(
+            t, a.l, a.u, root=a.root, algorithm=e, stats=s
+        ),
         lambda c, a: _load("oracle").oracle_min(c, a.l, a.u),
     ),
     "max": _Variant(
         _LU, (), _BOTH,
-        lambda t, a, e, s: _load("variants").max_partition(t, a.l, a.u, algorithm=e, stats=s),
+        lambda t, a, e, s: _load("variants").max_partition(
+            t, a.l, a.u, root=a.root, algorithm=e, stats=s
+        ),
         lambda c, a: _load("oracle").oracle_max(c, a.l, a.u),
     ),
     "min-cost": _Variant(
         _LU, ("p",), _TUPLESET,
-        lambda t, a, e, s: _load("variants").min_cost_partition(t, a.l, a.u, a.p, stats=s),
+        lambda t, a, e, s: _load("variants").min_cost_partition(
+            t, a.l, a.u, a.p, root=a.root, stats=s
+        ),
         lambda c, a: _load("oracle").oracle_min_cost(c, a.l, a.u, a.p),
     ),
     "minmax": _Variant(
         _LUP, (), _TUPLESET,
-        lambda t, a, e, s: _load("variants").minmax_partition(t, a.l, a.u, a.p, stats=s),
+        lambda t, a, e, s: _load("variants").minmax_partition(
+            t, a.l, a.u, a.p, root=a.root, stats=s
+        ),
         lambda c, a: _load("oracle").oracle_minmax(c, a.l, a.u, a.p),
     ),
     "maxmin": _Variant(
         _LUP, (), _TUPLESET,
-        lambda t, a, e, s: _load("variants").maxmin_partition(t, a.l, a.u, a.p, stats=s),
+        lambda t, a, e, s: _load("variants").maxmin_partition(
+            t, a.l, a.u, a.p, root=a.root, stats=s
+        ),
         lambda c, a: _load("oracle").oracle_maxmin(c, a.l, a.u, a.p),
     ),
     "capacity": _Variant(
         ("lw", "uw", "uc"), (), _TUPLESET,
         lambda t, a, e, s: _load("variants").capacity_partition(
-            t, a.lw, a.uw, a.uc, a.objective, stats=s
+            t, a.lw, a.uw, a.uc, a.objective, root=a.root, stats=s
         ),
         lambda c, a: _load("oracle").oracle_capacity(c, a.lw, a.uw, a.uc, a.objective),
     ),
@@ -197,7 +209,10 @@ def _run_solve(args) -> int:
     if args.root is not None and args.root not in graph.weight:
         return _usage_error(f"--root {args.root!r} is not a vertex of the graph")
 
-    tree = build_tree(graph, args.root)
+    # the solver builds the tree unless the output shows it, so that an
+    # answer from trivially_infeasible builds none
+    source = build_tree(graph, args.root) if args.dump_tree else graph
+    cycles = graph.dfs[2]  # the cycle paths validation found, the same from any root
     spec = VARIANTS[args.variant]
     algorithm = args.algorithm or spec.engines[0]
     if args.variant not in ("decide", "solve"):
@@ -205,7 +220,7 @@ def _run_solve(args) -> int:
     stats: dict = {}
     started = time.perf_counter()
     try:
-        answer = spec.solve(tree, args, algorithm, stats)
+        answer = spec.solve(source, args, algorithm, stats)
     except InvalidParamsError as exc:
         return _usage_error(str(exc))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -219,8 +234,8 @@ def _run_solve(args) -> int:
         "cut_edges": [list(e) for e in partition.cut_edges] if partition else None,
         "stats": {
             "nodes": graph.num_vertices,
-            "cycles": len(tree.cycles),
-            "max_cycle_length": max((c.length for c in tree.cycles), default=0),
+            "cycles": len(cycles),
+            "max_cycle_length": max(map(len, cycles), default=0),
             "dp_cells": stats.get("dp_cells", 0),
             "wall_ms": round(elapsed_ms, 3),
             "algorithm": algorithm,
@@ -236,7 +251,7 @@ def _run_solve(args) -> int:
         agrees = feasible and objective == expected[0] if expected is not None else not feasible
         result["oracle_agrees"] = agrees
     if args.dump_tree:
-        result["tree"] = tree.to_data()
+        result["tree"] = source.to_data()
     return _emit(result, 0 if feasible else 1)
 
 

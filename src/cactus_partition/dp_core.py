@@ -68,7 +68,7 @@ from collections import namedtuple
 
 from .errors import InvalidParamsError, WeightExceedsUpperError
 from .graph_model import CactusGraph, edge_key
-from .tree_rep import CactusTree, CycleRecord, build_tree
+from .tree_rep import CactusTree, absent_cycle_edge, build_tree
 
 
 class ProblemParams(namedtuple("ProblemParams", "lower upper num_clusters")):
@@ -180,11 +180,6 @@ def cycle_cutoff(alg, cyc):
     return m - 1
 
 
-def configuration_state(alg, cyc, j, owns, start_state):
-    """``(step, state)`` of configuration ``j`` (:func:`_fold_configurations`)."""
-    return _fold_configurations(alg, cyc, (j,), owns, start_state, alg.combine)[0][1:]
-
-
 def cycle_node_states(tree, sets, cyc):
     """Full subtree states of the cycle's path nodes, by path position.
 
@@ -192,12 +187,6 @@ def cycle_node_states(tree, sets, cyc):
     being folded into.
     """
     return [None] + [sets[(node, tree.full_index(node))] for node in cyc.path[1:]]
-
-
-def fold_configuration(alg, step, owns, start_state, combine):
-    """``(joined, chains)`` of configuration ``step.j``, before its last
-    join (see :func:`_fold_configurations`)."""
-    return _fold_configurations(alg, step.cycle, (step.j,), owns, start_state, combine, True)[0]
 
 
 def _fold_configurations(alg, cyc, js, owns, start_state, combine, walk=False):
@@ -232,7 +221,7 @@ def _fold_configurations(alg, cyc, js, owns, start_state, combine, walk=False):
     lifts = type(alg).lift is not IdentityLift.lift
     out = []
     for j in js:
-        step = CycleStep(cyc, j, closing if j == 1 else edges[m - j])
+        step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
         low, high = (m - 1 if j == 1 else m - j), m - j + 1  # chain bottoms; 0, m: no chain
         own, state = owns, start_state
         if lifts:
@@ -496,34 +485,6 @@ class TupleAlgebra(IdentityLift):
 # public operations
 
 
-def oplus(a, b, params: ProblemParams):
-    """Combine two tuple sets across an edge (reference implementation).
-
-    Returns exactly the pairs produced by keeping the child cluster
-    separate (its weight must reach the lower bound) or merging the two
-    root clusters (the sum must respect the upper bound), with cluster
-    counts capped at the requested number.
-    """
-    lower, upper, p = params.lower, params.upper, params.num_clusters
-    out = set()
-    for (x1, k1) in a:
-        for (x2, k2) in b:
-            if x2 >= lower and k1 + k2 <= p:
-                out.add((x1, k1 + k2))
-            if x1 + x2 <= upper and k1 + k2 - 1 <= p:
-                out.add((x1 + x2, k1 + k2 - 1))
-    return out
-
-
-def leaf_set(weight: int, params: ProblemParams):
-    """Base set of a bare subtree root: one cluster holding just the vertex."""
-    if weight > params.upper:
-        raise WeightExceedsUpperError(
-            f"vertex weight {weight} exceeds upper bound {params.upper}"
-        )
-    return {(weight, 1)}
-
-
 def _mask_state_to_set(state) -> frozenset:
     return frozenset(
         (x, k) for k, mask in state.items() for x in _mask_values(mask)
@@ -549,44 +510,6 @@ def _check_leaf_weights(graph: CactusGraph, params: ProblemParams) -> None:
         raise WeightExceedsUpperError(
             f"vertex weight {graph.max_weight} exceeds upper bound {params.upper}"
         )
-
-
-def subtree_sets(tree: CactusTree, params: ProblemParams):
-    """All tuple sets of the tree, keyed by ``(node, children_included)``."""
-    _check_leaf_weights(tree.graph, params)
-    states = run_tree_dp(tree, MaskAlgebra(tree.graph, params))
-    return {ctx: _mask_state_to_set(state) for ctx, state in states.items()}
-
-
-def cycle_config_sets(tree: CactusTree, params: ProblemParams, cycle: CycleRecord):
-    """Per-configuration tuple sets of one cycle, keyed by configuration index.
-
-    Every configuration 1..m-1 is folded, including those past the
-    cycle's :func:`cycle_cutoff` that a run skips.
-    """
-    _check_leaf_weights(tree.graph, params)
-    alg = MaskAlgebra(tree.graph, params)
-    states = run_tree_dp(tree, alg)
-    owns = cycle_node_states(tree, states, cycle)
-    start_state = states[(cycle.start, cycle.start_child_index - 1)]
-    return {
-        j: _mask_state_to_set(configuration_state(alg, cycle, j, owns, start_state)[1])
-        for j in range(1, cycle.length)
-    }
-
-
-def cycle_config_set(tree: CactusTree, params: ProblemParams, cycle: CycleRecord, j: int):
-    """Tuple set contributed by configuration ``j`` of ``cycle``."""
-    if not 1 <= j <= cycle.length - 1:
-        raise IndexError(f"configuration index {j} out of range 1..{cycle.length - 1}")
-    return cycle_config_sets(tree, params, cycle)[j]
-
-
-def root_set(tree: CactusTree, params: ProblemParams):
-    """Tuple set of the whole tree."""
-    _check_leaf_weights(tree.graph, params)
-    states = run_tree_dp(tree, MaskAlgebra(tree.graph, params))
-    return _mask_state_to_set(states[(tree.root, tree.full_index(tree.root))])
 
 
 def decide_p_partition(

@@ -54,25 +54,6 @@ from .tree_rep import CactusTree, build_tree
 Interval = tuple[int, int]
 
 
-def intervals_of(values, gap: int) -> list[Interval]:
-    """Intervals of the maximal gap-consecutive runs of an integer set."""
-    if gap < 0:
-        raise ValueError("gap must be non-negative")
-    xs = sorted(set(values))
-    if not xs:
-        return []
-    runs = []
-    lo = hi = xs[0]
-    for x in xs[1:]:
-        if x - hi <= gap:
-            hi = x
-        else:
-            runs.append((lo, hi))
-            lo = hi = x
-    runs.append((lo, hi))
-    return runs
-
-
 def merge(intervals, gap: int) -> list[Interval]:
     """Join interfering intervals until none remain.
 
@@ -95,29 +76,6 @@ def merge(intervals, gap: int) -> list[Interval]:
             cur_lo, cur_hi = lo, hi
     out.append((cur_lo, cur_hi))
     return out
-
-
-def interval_oplus(a, b, params: ProblemParams):
-    """Combine two interval sets across an edge (pre-merge form).
-
-    ``a`` and ``b`` map cluster counts to interval lists.  The result is
-    the raw combination before interfering intervals are merged; callers
-    apply :func:`merge` per count to normalise it.
-    """
-    lower, upper, p = params.lower, params.upper, params.num_clusters
-    out: dict[int, list[Interval]] = {}
-    for k2, ivs_b in sorted(b.items()):
-        for (b_lo, b_hi) in sorted(ivs_b):
-            feasible = b_lo <= upper and b_hi >= lower
-            for k1, ivs_a in sorted(a.items()):
-                for (a_lo, a_hi) in sorted(ivs_a):
-                    if feasible and k1 + k2 <= p:
-                        out.setdefault(k1 + k2, []).append((a_lo, a_hi))
-                    if a_lo + b_lo <= upper and k1 + k2 - 1 <= p:
-                        out.setdefault(k1 + k2 - 1, []).append(
-                            (a_lo + b_lo, a_hi + b_hi)
-                        )
-    return {k: sorted(set(ivs)) for k, ivs in out.items()}
 
 
 class IEntry(namedtuple("IEntry", "lo hi")):

@@ -4,8 +4,9 @@ Every partition into connected clusters is reachable by deleting an edge
 subset, so enumerating all 2^|E| subsets and deduplicating the resulting
 component structures yields the complete catalog of partitions.  All
 solver answers on small graphs are checked against filters over this
-catalog.  A second, structurally different enumerator (growing connected
-clusters around pivot vertices) cross-checks the catalog itself.
+catalog.  The tests cross-check the catalog itself with a second,
+structurally different enumerator (growing connected clusters around
+pivot vertices).
 """
 
 from __future__ import annotations
@@ -67,40 +68,6 @@ def enumerate_all(graph: CactusGraph, max_edges: int = 16) -> PartitionCatalog:
     return PartitionCatalog(graph, tuple(partitions))
 
 
-def connected_partitions_grown(graph: CactusGraph):
-    """Second enumerator: recursively grow a connected cluster around the
-    smallest unassigned vertex.  Yields partitions as frozensets of
-    frozensets; used to cross-check :func:`enumerate_all`."""
-    adjacency = graph.adjacency
-
-    def connected_sets(allowed: frozenset, start: str):
-        def rec(cur: frozenset, frontier: frozenset, banned: frozenset):
-            yield cur
-            blocked = set(banned)
-            for w in sorted(frontier):
-                grown = cur | {w}
-                new_frontier = (
-                    frontier | {x for x in adjacency[w] if x in allowed}
-                ) - grown - blocked
-                yield from rec(grown, frozenset(new_frontier), frozenset(blocked))
-                blocked.add(w)
-
-        first = frozenset({start})
-        frontier = frozenset(x for x in adjacency[start] if x in allowed)
-        yield from rec(first, frontier, frozenset())
-
-    def rec_partitions(remaining: frozenset):
-        if not remaining:
-            yield frozenset()
-            return
-        pivot = min(remaining)
-        for cluster in connected_sets(remaining, pivot):
-            for rest in rec_partitions(remaining - cluster):
-                yield rest | {cluster}
-
-    yield from rec_partitions(frozenset(graph.vertices))
-
-
 def _window(part: Partition, lower: int, upper: int) -> bool:
     return all(lower <= w <= upper for w in part.weights)
 
@@ -110,25 +77,6 @@ def oracle_decide(catalog: PartitionCatalog, lower: int, upper: int, num_cluster
         p.num_clusters == num_clusters and _window(p, lower, upper)
         for p in catalog.partitions
     )
-
-
-def oracle_root_tuples(catalog: PartitionCatalog, upper: int, lower: int, root: str):
-    """All (root cluster weight, count) pairs of extendable partitions.
-
-    Extendable: every cluster except the one holding ``root`` lies in the
-    weight window, while the root cluster only respects the upper bound.
-    Mirrors what the solvers store for the whole tree.
-    """
-    tuples = set()
-    for p in catalog.partitions:
-        root_idx = next(i for i, c in enumerate(p.clusters) if root in c)
-        if p.weights[root_idx] > upper:
-            continue
-        if all(
-            lower <= w <= upper for i, w in enumerate(p.weights) if i != root_idx
-        ):
-            tuples.add((p.weights[root_idx], p.num_clusters))
-    return tuples
 
 
 def _best(parts, value, minimize):

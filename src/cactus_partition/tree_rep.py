@@ -15,7 +15,7 @@ Both are established here, right after the DFS, which is
 ``graph_model.dfs_tree``: for the default root, the very search that
 validated the graph, kept on it.
 :func:`as_tree` lets an entry point take either a graph or a tree built
-once for several solves.
+once for several solves, and :func:`graph_of` gives the graph of either.
 """
 
 from __future__ import annotations
@@ -158,25 +158,10 @@ def as_tree(graph: CactusGraph | CactusTree, root: str | None = None) -> CactusT
     return graph if isinstance(graph, CactusTree) else build_tree(graph, root)
 
 
-def configuration_edges(cycle: CycleRecord, j: int) -> tuple[Edge | None, Edge | None]:
-    """Edges (removed from the tree, re-added) that define configuration ``j``.
-
-    Configuration 1 is the tree as built.  In configuration j >= 2 the
-    node m-j+1 positions along the path stops being a child of its path
-    predecessor and hangs off the path successor instead (indices wrap at
-    the start node), so one tree edge is removed and one cycle edge comes
-    back.  Only configurations 1..m-1 exist; the m-th would re-root the
-    whole path and is never needed.
-    """
-    m = cycle.length
-    if not 1 <= j <= m - 1:
-        raise IndexError(f"configuration index {j} out of range 1..{m - 1}")
-    if j == 1:
-        return None, None
-    ws = cycle.path
-    removed = edge_key(ws[m - j], ws[m - j + 1])
-    added = edge_key(ws[(m - j + 2) % m], ws[m - j + 1])
-    return removed, added
+def graph_of(source: CactusGraph | CactusTree) -> CactusGraph:
+    """The graph of ``source``, a graph or a :class:`CactusTree`: what an
+    early answer reads before :func:`as_tree` builds a tree."""
+    return source.graph if isinstance(source, CactusTree) else source
 
 
 def absent_cycle_edge(cycle: CycleRecord, j: int) -> Edge:

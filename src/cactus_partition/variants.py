@@ -48,7 +48,7 @@ from .dp_core import (
 )
 from .errors import InvalidParamsError
 from .graph_model import canonicalize_partition
-from .tree_rep import as_tree
+from .tree_rep import as_tree, graph_of
 
 
 def _record_cells(stats, states, algorithm=None):
@@ -218,14 +218,14 @@ def min_cost_partition(graph, lower, upper, num_clusters=None, root=None, stats=
     ``num_clusters`` given, only partitions of exactly that size count.
     Returns ``(cost, partition)`` or None.
     """
-    tree = as_tree(graph, root)
-    graph = tree.graph
+    source, graph = graph, graph_of(graph)
     count_cap = graph.num_vertices if num_clusters is None else num_clusters
     params = ProblemParams(lower, upper, count_cap)
     # without num_clusters the count is a cap: the count bounds do not apply
     exact = num_clusters is not None
     if graph.max_weight > upper or (exact and trivially_infeasible(graph, params)):
         return None
+    tree = as_tree(source, root)
     alg = CostAlgebra(graph, lower, upper, count_cap)
     found = _best_witness(tree, alg, stats, lambda key, cost: (
         cost if lower <= key[0] <= upper and num_clusters in (None, key[1]) else None

@@ -21,7 +21,6 @@ from cactus_partition import (
     decide_p_partition_poly,
     enumerate_all,
     gen_random_cactus,
-    intervals_of,
     max_partition,
     maxmin_partition,
     merge,
@@ -35,19 +34,19 @@ from cactus_partition import (
     oracle_min_cost,
     oracle_minmax,
     reconstruct,
-    subtree_sets,
     validate_cactus,
 )
 from cactus_partition.dp_core import (
     CycleStep,
     MaskAlgebra,
     cycle_node_states,
-    fold_configuration,
     run_tree_dp,
 )
 from cactus_partition.errors import IntervalCountError
 from cactus_partition.interval_dp import interval_subtree_sets
 from cactus_partition.tree_rep import absent_cycle_edge
+
+from dp_reference import fold_configuration, intervals_of, subtree_sets
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:

@@ -154,6 +154,33 @@ def test_every_root_tuple_reconstructs():
     assert checked >= 1000
 
 
+def test_every_root_interval_reconstructs_at_its_count():
+    """A target names its count: every stored root interval meeting the
+    window, at any count, gives that many clusters in the window, and the
+    same witness when the run's own count is lowered afterwards (as the
+    min / max variants do)."""
+    rng = random.Random(0x51C3)
+    checked = other_counts = 0
+    for seed in range(300):
+        g = random_graph(seed, n=rng.randint(3, 14), cycle_density=rng.choice((0.3, 0.6, 0.9)))
+        lower = rng.randint(0, 5)
+        upper = max(lower + rng.randint(0, 7), g.max_weight)
+        run = annotate(g, ProblemParams(lower, upper, g.num_vertices), "interval")
+        lowered = annotate(g, ProblemParams(lower, upper, g.num_vertices), "interval")
+        lowered.params = ProblemParams(lower, upper, 1)
+        for k, entries in run.root_state.items():
+            for entry in entries:
+                if not entry.intersects(lower, upper):
+                    continue
+                part = reconstruct(run, (entry.lo, entry.hi, k))
+                assert part.num_clusters == k
+                assert all(lower <= w <= upper for w in part.weights)
+                assert reconstruct(lowered, (entry.lo, entry.hi, k)) == part
+                checked += 1
+                other_counts += k != g.num_vertices
+    assert checked >= 500 and other_counts >= 400
+
+
 @pytest.mark.parametrize("algorithm", ["tupleset", "interval"])
 def test_deep_path_reconstructs_iteratively(algorithm):
     g = path([1] * 3000)

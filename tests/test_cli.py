@@ -237,8 +237,18 @@ def test_closed_stdout_keeps_the_exit_code(argv, expected, graph_file):
     assert (done.returncode, done.stderr) == (expected, b"")
 
 
-@pytest.mark.parametrize("variant", ["minmax", "maxmin", "min", "solve"])
-def test_one_tree_per_request(variant, graph_file, capsys, monkeypatch):
+@pytest.mark.parametrize("variant, extra, feasible, builds", [
+    ("minmax", [], True, 1),
+    ("maxmin", [], True, 1),
+    ("min", [], True, 1),
+    ("solve", [], True, 1),
+    # 15 clusters of 14 vertices: trivially infeasible, so no tree unless it is shown
+    ("solve", ["-p", "15"], False, 0),
+    ("min-cost", ["-p", "15"], False, 0),
+    ("solve", ["-p", "15", "--dump-tree"], False, 1),
+], ids=["minmax", "maxmin", "min", "solve", "early-answer", "early-answer-min-cost",
+        "early-answer-dump-tree"])
+def test_one_tree_per_request(variant, extra, feasible, builds, graph_file, capsys, monkeypatch):
     build = tree_rep.build_tree
     calls = []
 
@@ -250,7 +260,7 @@ def test_one_tree_per_request(variant, graph_file, capsys, monkeypatch):
         if name.split(".")[0] == "cactus_partition" and getattr(module, "build_tree", None) is build:
             monkeypatch.setattr(module, "build_tree", counted)
     doc = random_graph(4, n=14, cycle_density=0.6, size_range=(1, 3)).to_data()
-    flags = ["-l", "0", "-u", "12"] + ([] if variant == "min" else ["-p", "3"])
+    flags = ["-l", "0", "-u", "12"] + ([] if variant == "min" else ["-p", "3"]) + extra
     code, result = _solve(capsys, "--variant", variant, *flags, graph_file(doc))
-    assert code == 0 and result["feasible"]
-    assert len(calls) == 1
+    assert code == (0 if feasible else 1) and result["feasible"] is feasible
+    assert len(calls) == builds

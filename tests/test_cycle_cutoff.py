@@ -15,22 +15,24 @@ from cactus_partition import (
     ProblemParams,
     annotate,
     build_tree,
-    cycle_config_set,
-    cycle_config_sets,
-    root_set,
     variants,
 )
 from cactus_partition.dp_core import (
     CycleStep,
     MaskAlgebra,
     TupleAlgebra,
-    configuration_state,
     cycle_node_states,
-    fold_configuration,
     run_tree_dp,
 )
 from cactus_partition.tree_rep import absent_cycle_edge
 
+from dp_reference import (
+    configuration_state,
+    cycle_config_set,
+    cycle_config_sets,
+    fold_configuration,
+    root_set,
+)
 from util import arc_cutoff, random_graph, ring, rings_and_necklaces
 
 

@@ -5,15 +5,9 @@ from hypothesis import strategies as st
 from cactus_partition import (
     ProblemParams,
     build_tree,
-    cycle_config_set,
     decide_p_partition,
     enumerate_all,
-    leaf_set,
-    oplus,
     oracle_decide,
-    oracle_root_tuples,
-    root_set,
-    subtree_sets,
 )
 from cactus_partition.dp_core import (
     ContextMap,
@@ -26,6 +20,14 @@ from cactus_partition.errors import InvalidParamsError, WeightExceedsUpperError
 from cactus_partition.interval_dp import IntervalAlgebra
 from cactus_partition.tree_rep import absent_cycle_edge
 
+from dp_reference import (
+    cycle_config_set,
+    leaf_set,
+    oplus,
+    oracle_root_tuples,
+    root_set,
+    subtree_sets,
+)
 from util import arc_cutoff, graph_from, path, random_graph, rings_and_necklaces, triangle
 
 

@@ -20,15 +20,14 @@ from cactus_partition.dp_core import (
     CycleStep,
     MaskAlgebra,
     TupleAlgebra,
-    configuration_state,
     cycle_node_states,
-    fold_configuration,
     run_tree_dp,
 )
 from cactus_partition.interval_dp import IntervalAlgebra
 from cactus_partition.tree_rep import absent_cycle_edge
 from cactus_partition.variants import CapacityAlgebra, CostAlgebra, SizeWeightAlgebra
 
+from dp_reference import configuration_state, fold_configuration
 from util import random_graph, rings_and_necklaces
 
 ALGEBRAS = ("mask", "interval", "tuple", "cost", "sizeweight", "capacity")

@@ -10,14 +10,12 @@ from cactus_partition import (
     decide_p_partition,
     decide_p_partition_poly,
     enumerate_all,
-    interval_oplus,
     interval_subtree_sets,
-    intervals_of,
     merge,
     oracle_decide,
-    subtree_sets,
 )
 
+from dp_reference import interval_oplus, intervals_of, subtree_sets
 from util import graph_from, path, random_graph, triangle
 
 

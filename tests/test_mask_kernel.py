@@ -18,12 +18,12 @@ from cactus_partition import (
     build_tree,
     decide_p_partition,
     decide_p_partition_poly,
-    oplus,
     reconstruct,
 )
 from cactus_partition import dp_core
 from cactus_partition.dp_core import MaskAlgebra, TupleAlgebra, _mask_state_to_set, run_tree_dp
 
+from dp_reference import oplus
 from util import arc_cutoff, graph_from, path, random_graph, ring
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from cactus_partition import (
-    connected_partitions_grown,
     enumerate_all,
     oracle_capacity,
     oracle_decide,
@@ -10,6 +9,7 @@ from cactus_partition import (
 )
 from cactus_partition.errors import TooLargeError
 
+from dp_reference import connected_partitions_grown
 from util import graph_from, path, random_graph, triangle
 
 

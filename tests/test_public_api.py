@@ -3,6 +3,7 @@ types (named tuples and ``__slots__`` classes) that the API hands out."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,19 +21,18 @@ from cactus_partition import (
 from cactus_partition.errors import InvalidParamsError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
-# 45 names, each with the module that defines it
+# 34 names, each with the module that defines it
 HOMES = {
     "backtrack": "AnnotatedRun annotate reconstruct",
-    "dp_core": "ProblemParams cycle_config_set cycle_config_sets decide_p_partition leaf_set "
-    "oplus root_set subtree_sets trivially_infeasible",
+    "dp_core": "ProblemParams decide_p_partition trivially_infeasible",
     "generate": "gen_random_cactus",
     "graph_model": "CactusGraph Partition canonicalize_partition edge_key validate_cactus",
-    "interval_dp": "decide_p_partition_poly interval_oplus interval_subtree_sets intervals_of merge",
-    "oracle": "PartitionCatalog connected_partitions_grown enumerate_all oracle_capacity "
-    "oracle_decide oracle_max oracle_maxmin oracle_min oracle_min_cost oracle_minmax "
-    "oracle_root_tuples",
-    "tree_rep": "CactusTree CycleRecord build_tree configuration_edges",
+    "interval_dp": "decide_p_partition_poly interval_subtree_sets merge",
+    "oracle": "PartitionCatalog enumerate_all oracle_capacity oracle_decide oracle_max "
+    "oracle_maxmin oracle_min oracle_min_cost oracle_minmax",
+    "tree_rep": "CactusTree CycleRecord build_tree",
     "variants": "capacity_partition max_partition maxmin_partition min_cost_partition "
     "min_partition minmax_partition",
 }
@@ -94,11 +94,28 @@ def test_star_import_binds_every_name_to_its_home_object():
     for module, names in HOMES.items():
         home = importlib.import_module(f"cactus_partition.{module}")
         expected.update((name, getattr(home, name)) for name in names.split())
-    assert len(expected) == len(cp.__all__) == 45
+    assert len(expected) == len(cp.__all__) == 34
     assert namespace.keys() == expected.keys() == set(cp.__all__)
     assert all(namespace[name] is expected[name] for name in expected)
     assert all(vars(cp)[name] is expected[name] for name in expected)  # bound, as imports bind
     assert set(cp.__all__) <= set(dir(cp))
+
+
+def test_the_readme_lists_every_public_name_by_its_home():
+    """The README's "Public API" section: a ``**`module`**`` line, then one
+    ``- `name...`` line per name the module defines."""
+    section = README.read_text(encoding="utf-8").split("\n## Public API\n")[1].split("\n## ")[0]
+    listed, module = {}, None
+    for line in section.splitlines():
+        if heading := re.fullmatch(r"\*\*`(\w+)`\*\*", line):
+            module = heading[1]
+        elif entry := re.match(r"- `(\w+)", line):
+            listed[entry[1]] = module
+    homes = {}
+    for name in cp.__all__:
+        value = getattr(cp, name)
+        homes[name] = getattr(value, "__module__", value.__name__).rpartition(".")[2]
+    assert listed == homes
 
 
 def test_an_unknown_name_is_an_attribute_error():

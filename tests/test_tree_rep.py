@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactus_partition import build_tree, configuration_edges, gen_random_cactus, validate_cactus
+from cactus_partition import build_tree, gen_random_cactus, validate_cactus
 from cactus_partition import graph_model, tree_rep
 from cactus_partition.errors import NotCactusError, NotConnectedError
 from cactus_partition.tree_rep import absent_cycle_edge
 
+from dp_reference import configuration_edges
 from util import graph_from, path, random_graph
 
 

@@ -19,11 +19,11 @@ from cactus_partition.backtrack import collect_cuts
 from cactus_partition.dp_core import (
     CycleStep,
     cycle_node_states,
-    fold_configuration,
     run_tree_dp,
 )
 from cactus_partition.tree_rep import absent_cycle_edge
 
+from dp_reference import fold_configuration
 from util import random_graph
 
 INSTANCES = 1000

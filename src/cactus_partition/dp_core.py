@@ -68,7 +68,7 @@ from collections import namedtuple
 
 from .errors import InvalidParamsError, WeightExceedsUpperError
 from .graph_model import CactusGraph, edge_key
-from .tree_rep import CactusTree, absent_cycle_edge, build_tree
+from .tree_rep import CactusTree, absent_cycle_edge, build_tree, graph_of
 
 
 class ProblemParams(namedtuple("ProblemParams", "lower upper num_clusters")):
@@ -357,9 +357,12 @@ class MaskAlgebra(IdentityLift):
     solver fast for large weight bounds.
 
     Cost rule: a merge of counts k1 and k2 shifts the denser of the two
-    masks once per set bit of the sparser one (ties shift the parent), so
-    a one-vertex parent costs one shift whatever the child holds.  Each
-    mask's bits are listed at most once per ``combine`` call.
+    masks once per set bit of the sparser one (ties shift the parent).
+    Each mask's bits are listed at most once per ``combine`` call.  A
+    bare-vertex parent (one count, one set bit ``x1``) takes a single pass
+    over the child's counts that lists no bits: the merge is one
+    ``(mb << x1) & full`` per count, and the output equals the general
+    loop's, key order included.
 
     Mask width: masks keep bits 0..min(upper, W), W the graph's total
     weight.  No cluster outweighs the graph, so this truncates nothing,
@@ -383,6 +386,19 @@ class MaskAlgebra(IdentityLift):
         p = self.p
         window = self.window_mask
         full = self.full_mask
+        if len(a) == 1:
+            ((k1, ma),) = a.items()
+            if ma.bit_count() == 1:  # a bare vertex: one pass, one shift per child count
+                x1 = ma.bit_length() - 1
+                for k2, mb in b.items():
+                    k = k1 + k2
+                    if k <= p and mb & window:
+                        out[k] = out.get(k, 0) | ma
+                    if k - 1 <= p:
+                        acc = (mb << x1) & full
+                        if acc:
+                            out[k - 1] = out.get(k - 1, 0) | acc
+                return out
         a_bits = None  # bits of a's masks by count, listed on first use
         for k2, mb in b.items():
             if mb & window:
@@ -520,7 +536,7 @@ def decide_p_partition(
     True iff there is a partition into ``params.num_clusters`` connected
     clusters whose weights all lie in ``[lower, upper]``.
     """
-    if trivially_infeasible(graph, params):
+    if trivially_infeasible(graph_of(graph, root), params):
         return False
     tree = build_tree(graph, root)
     alg = MaskAlgebra(graph, params)

@@ -27,7 +27,9 @@ separate requires the child interval to meet the window, merging adds
 interval endpoints (guarded by the low sum fitting under the upper
 bound).  Freshly combined intervals may interfere (come within ``gap`` of
 each other), so every combination is followed by the order-independent
-merge that repeatedly joins interfering intervals.
+merge that repeatedly joins interfering intervals.  A bare-vertex parent
+(one count, one interval) skips the sort: its shifted child runs arrive
+in order, and one pass over the child's counts merges them as they come.
 
 States are plain ``{k: ((lo, hi), ...)}`` tuples, count-ascending and
 each count's runs in ascending order; no interval remembers how it was
@@ -49,7 +51,7 @@ from .dp_core import (
 )
 from .errors import IntervalCountError
 from .graph_model import CactusGraph
-from .tree_rep import CactusTree, build_tree
+from .tree_rep import CactusTree, build_tree, graph_of
 
 Interval = tuple[int, int]
 
@@ -60,7 +62,9 @@ def merge(intervals, gap: int) -> list[Interval]:
     Two intervals interfere when the later one starts at most ``gap``
     after the earlier one ends.  The result is independent of the input
     order: sorting by low end first makes the left-to-right sweep find
-    exactly the maximal interfering groups.
+    exactly the maximal interfering groups.  ``IntervalAlgebra`` runs the
+    same sweep inline on a bare-vertex parent's shifted child runs, whose
+    order is known without a sort.
     """
     ivs = sorted(intervals)
     if not ivs:
@@ -94,7 +98,13 @@ class IEntry(namedtuple("IEntry", "lo hi")):
 
 
 class IntervalAlgebra(IdentityLift):
-    """Interval states for the shared tree traversal: ``{k: ((lo, hi), ...)}``."""
+    """Interval states for the shared tree traversal: ``{k: ((lo, hi), ...)}``.
+
+    ``combine`` with a bare-vertex parent ``{k1: ((lo, hi),)}`` takes one
+    pass over the child's counts (:meth:`_bare_parent`); any other parent
+    collects raw intervals per count and merges them.  Both give the same
+    state, count-ascending.
+    """
 
     def __init__(self, graph: CactusGraph, params: ProblemParams):
         self.graph = graph
@@ -107,6 +117,10 @@ class IntervalAlgebra(IdentityLift):
         return {1: ((w, w),)}
 
     def combine(self, a, b, edge, step):
+        if len(a) == 1:
+            ((k1, ivs_a),) = a.items()
+            if len(ivs_a) == 1:  # a bare vertex: one pass over b's counts
+                return self._bare_parent(k1, ivs_a[0], b)
         lower, upper, p = self.lower, self.upper, self.p
         raw: dict[int, list[Interval]] = {}
         a_items = list(a.items())
@@ -143,17 +157,66 @@ class IntervalAlgebra(IdentityLift):
                 raw.setdefault(k, []).extend(ivs)
         return self._merged(raw)
 
+    def _bare_parent(self, k1, a_iv, b):
+        """``combine`` of ``{k1: (a_iv,)}`` and ``b``, in one pass.
+
+        Count k holds the cut, ``a_iv`` itself, when a run of ``b[k - k1]``
+        meets the window, then the runs of ``b[k - k1 + 1]`` shifted by
+        ``a_iv``.  Those start no lower than ``a_iv`` and in ascending
+        order, so :func:`merge`'s sweep runs on them as they come, with no
+        sort.  ``b`` is count-ascending, and so is the result.
+        """
+        lower, upper, p, gap = self.lower, self.upper, self.p, self.gap
+        a_lo, a_hi = a_iv
+        out = {}
+        cut_at = 0  # the count waiting for the cut from the previous child count
+        for k2, ivs_b in b.items():
+            k = k1 + k2 - 1  # the count a merge lands on
+            if k > p:
+                break
+            if 0 < cut_at < k:  # no merge lands on the pending cut's count
+                out[cut_at] = (a_iv,)
+            runs = [a_iv] if cut_at == k else []
+            for b_lo, b_hi in ivs_b:
+                lo = a_lo + b_lo
+                if lo > upper:
+                    break
+                hi = a_hi + b_hi
+                if runs and lo - runs[-1][1] <= gap:
+                    if hi > runs[-1][1]:
+                        runs[-1] = (runs[-1][0], hi)
+                else:
+                    runs.append((lo, hi))
+            if runs:
+                if len(runs) > k:
+                    raise _over_full(runs, k)
+                out[k] = tuple(runs)
+            cut_at = 0
+            if k < p:
+                for b_lo, b_hi in ivs_b:
+                    if b_lo <= upper and b_hi >= lower:
+                        cut_at = k + 1
+                        break
+        if cut_at:
+            out[cut_at] = (a_iv,)
+        return out
+
     def _merged(self, raw):
         gap = self.gap
         out = {}
         for k in sorted(raw):
-            ivs = merge(raw[k], gap)
+            ivs = raw[k]
+            if len(ivs) > 1:  # a lone interval is merged already
+                ivs = merge(ivs, gap)
             if len(ivs) > k:
-                raise IntervalCountError(
-                    f"{len(ivs)} intervals stored for cluster count {k}: {ivs}"
-                )
+                raise _over_full(ivs, k)
             out[k] = tuple(ivs)
         return out
+
+
+def _over_full(ivs, k) -> IntervalCountError:
+    """The error for count ``k`` holding more runs than clusters."""
+    return IntervalCountError(f"{len(ivs)} intervals stored for cluster count {k}: {ivs}")
 
 
 def interval_subtree_sets(tree: CactusTree, params: ProblemParams):
@@ -166,7 +229,7 @@ def decide_p_partition_poly(
     graph: CactusGraph, params: ProblemParams, root: str | None = None
 ) -> bool:
     """Interval-compressed equivalent of ``decide_p_partition``."""
-    if trivially_infeasible(graph, params):
+    if trivially_infeasible(graph_of(graph, root), params):
         return False
     tree = build_tree(graph, root)
     state = interval_subtree_sets(tree, params)[(tree.root, tree.full_index(tree.root))]

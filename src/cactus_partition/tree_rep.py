@@ -104,11 +104,10 @@ def build_tree(graph: CactusGraph, root: str | None = None) -> CactusTree:
     Children follow the input adjacency order except for the on-cycle
     reordering described in the module docstring.
     """
+    graph_of(graph, root)  # checks root
     default = min(graph.vertices)
     if root is None:
         root = default
-    elif root not in graph.weight:
-        raise ValueError(f"root {root!r} is not a vertex")
     if root == default and graph.dfs is not None:
         parent, children, raw_cycles = graph.dfs
     else:
@@ -158,10 +157,20 @@ def as_tree(graph: CactusGraph | CactusTree, root: str | None = None) -> CactusT
     return graph if isinstance(graph, CactusTree) else build_tree(graph, root)
 
 
-def graph_of(source: CactusGraph | CactusTree) -> CactusGraph:
+def graph_of(source: CactusGraph | CactusTree, root: str | None = None) -> CactusGraph:
     """The graph of ``source``, a graph or a :class:`CactusTree`: what an
-    early answer reads before :func:`as_tree` builds a tree."""
-    return source.graph if isinstance(source, CactusTree) else source
+    early answer reads before :func:`as_tree` builds a tree.
+
+    Raises ``ValueError`` when ``source`` is a graph and ``root`` names
+    none of its vertices, as :func:`build_tree` does, so a bad root is an
+    error whether or not the request is answered early.  A tree keeps its
+    own root, and ``root`` is then ignored, as in :func:`as_tree`.
+    """
+    if isinstance(source, CactusTree):
+        return source.graph
+    if root is not None and root not in source.weight:
+        raise ValueError(f"root {root!r} is not a vertex")
+    return source
 
 
 def absent_cycle_edge(cycle: CycleRecord, j: int) -> Edge:

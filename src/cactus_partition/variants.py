@@ -124,11 +124,11 @@ def max_partition(graph, lower, upper, root=None, algorithm="interval", stats=No
 
 
 def _extreme_partition(graph, lower, upper, root, algorithm, minimize, stats=None):
-    tree = as_tree(graph, root)
-    params = ProblemParams(lower, upper, tree.graph.num_vertices)
-    if tree.graph.max_weight > upper:  # n is a cap: the count bounds do not apply
+    source, graph = graph, graph_of(graph, root)
+    params = ProblemParams(lower, upper, graph.num_vertices)
+    if graph.max_weight > upper:  # n is a cap: the count bounds do not apply
         return None
-    run = annotate(tree, params, algorithm)
+    run = annotate(as_tree(source, root), params, algorithm)
     _record_cells(stats, run.states, algorithm)
     feasible = run.feasible_counts()
     if not feasible:
@@ -218,7 +218,7 @@ def min_cost_partition(graph, lower, upper, num_clusters=None, root=None, stats=
     ``num_clusters`` given, only partitions of exactly that size count.
     Returns ``(cost, partition)`` or None.
     """
-    source, graph = graph, graph_of(graph)
+    source, graph = graph, graph_of(graph, root)
     count_cap = graph.num_vertices if num_clusters is None else num_clusters
     params = ProblemParams(lower, upper, count_cap)
     # without num_clusters the count is a cap: the count bounds do not apply
@@ -314,10 +314,10 @@ def minmax_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     Every probe runs on the same tree.
     """
     ProblemParams(lower, upper, num_clusters)
-    tree = as_tree(graph, root)
-    graph = tree.graph
+    source, graph = graph, graph_of(graph, root)
     if num_clusters > graph.num_vertices or max(graph.size.values()) > upper:
         return None
+    tree = as_tree(source, root)
     total = graph.total_weight
     lo = max(graph.max_weight, -(-total // num_clusters))
     best = _size_weight_solve(tree, lower, upper, num_clusters, total, False, stats=stats)
@@ -345,10 +345,10 @@ def maxmin_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     they returned.
     """
     ProblemParams(lower, upper, num_clusters)
-    tree = as_tree(graph, root)
-    graph = tree.graph
+    source, graph = graph, graph_of(graph, root)
     if num_clusters > graph.num_vertices or max(graph.size.values()) > upper:
         return None
+    tree = as_tree(source, root)
     hi = graph.total_weight // num_clusters
     best = _size_weight_solve(tree, lower, upper, num_clusters, 0, True, stats=stats)
     if best is None:
@@ -464,10 +464,10 @@ def capacity_partition(
     ProblemParams(weight_lower, weight_upper, 1)  # checks the weight window
     if not isinstance(capacity_upper, int) or isinstance(capacity_upper, bool) or capacity_upper < 0:
         raise InvalidParamsError("capacity bound must be a non-negative integer")
-    tree = as_tree(graph, root)
-    graph = tree.graph
+    source, graph = graph, graph_of(graph, root)
     if graph.max_weight > weight_upper:
         return None
+    tree = as_tree(source, root)
     alg = CapacityAlgebra(graph, weight_lower, weight_upper, capacity_upper)
     sign = 1 if objective == "min" else -1  # rank by count, or by count descending
     found = _best_witness(tree, alg, stats, lambda key, _y: (

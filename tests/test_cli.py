@@ -246,8 +246,13 @@ def test_closed_stdout_keeps_the_exit_code(argv, expected, graph_file):
     ("solve", ["-p", "15"], False, 0),
     ("min-cost", ["-p", "15"], False, 0),
     ("solve", ["-p", "15", "--dump-tree"], False, 1),
+    # the variants' own early answers: a vertex of weight 5 above u (or uw), 15 > n
+    ("min", ["-u", "4"], False, 0),
+    ("minmax", ["-p", "15"], False, 0),
+    ("capacity", ["--lw", "0", "--uw", "4", "--uc", "10"], False, 0),
 ], ids=["minmax", "maxmin", "min", "solve", "early-answer", "early-answer-min-cost",
-        "early-answer-dump-tree"])
+        "early-answer-dump-tree", "early-answer-min", "early-answer-minmax",
+        "early-answer-capacity"])
 def test_one_tree_per_request(variant, extra, feasible, builds, graph_file, capsys, monkeypatch):
     build = tree_rep.build_tree
     calls = []
@@ -260,7 +265,10 @@ def test_one_tree_per_request(variant, extra, feasible, builds, graph_file, caps
         if name.split(".")[0] == "cactus_partition" and getattr(module, "build_tree", None) is build:
             monkeypatch.setattr(module, "build_tree", counted)
     doc = random_graph(4, n=14, cycle_density=0.6, size_range=(1, 3)).to_data()
-    flags = ["-l", "0", "-u", "12"] + ([] if variant == "min" else ["-p", "3"]) + extra
+    if variant == "capacity":
+        flags = extra
+    else:
+        flags = ["-l", "0", "-u", "12"] + ([] if variant == "min" else ["-p", "3"]) + extra
     code, result = _solve(capsys, "--variant", variant, *flags, graph_file(doc))
     assert code == (0 if feasible else 1) and result["feasible"] is feasible
     assert len(calls) == builds

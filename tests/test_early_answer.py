@@ -16,14 +16,17 @@ import pytest
 
 from cactus_partition import (
     ProblemParams,
+    build_tree,
     capacity_partition,
     decide_p_partition,
     decide_p_partition_poly,
     dp_core,
     interval_dp,
     max_partition,
+    maxmin_partition,
     min_cost_partition,
     min_partition,
+    minmax_partition,
     trivially_infeasible,
 )
 from cactus_partition.cli import run
@@ -120,6 +123,34 @@ def test_deciders_answer_the_sum_bound_without_a_tree(decide, monkeypatch):
     assert trivially_infeasible(g, ProblemParams(2, 4, 2)) is None
     assert decide(g, ProblemParams(2, 4, 2)) is True
     assert built == [g]
+
+
+# Each request has an early answer on ``path([2, 5, 2])`` (n 3, W 9): the
+# sum bound 1 * 5 < 9, a vertex of weight 5 above u = 4, or 4 clusters
+# on 3 vertices.
+EARLY_ANSWERS = {
+    "decide": lambda g, root: decide_p_partition(g, ProblemParams(0, 5, 1), root),
+    "decide-poly": lambda g, root: decide_p_partition_poly(g, ProblemParams(0, 5, 1), root),
+    "min": lambda g, root: min_partition(g, 0, 4, root=root),
+    "max": lambda g, root: max_partition(g, 0, 4, root=root, algorithm="tupleset"),
+    "min-cost": lambda g, root: min_cost_partition(g, 0, 4, root=root),
+    "min-cost-p": lambda g, root: min_cost_partition(g, 0, 5, num_clusters=1, root=root),
+    "minmax": lambda g, root: minmax_partition(g, 0, 9, 4, root=root),
+    "maxmin": lambda g, root: maxmin_partition(g, 0, 9, 4, root=root),
+    "capacity": lambda g, root: capacity_partition(g, 0, 4, 10, root=root),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EARLY_ANSWERS))
+def test_a_bad_root_raises_before_an_early_answer(entry):
+    solve = EARLY_ANSWERS[entry]
+    g = path([2, 5, 2])
+    assert not solve(g, None)
+    assert not solve(g, "n1")
+    with pytest.raises(ValueError, match="root 'zz' is not a vertex"):
+        solve(g, "zz")
+    if entry not in ("decide", "decide-poly"):  # a tree keeps its own root
+        assert not solve(build_tree(g), "zz")
 
 
 def test_the_sum_bound_never_rejects_a_feasible_count():

@@ -14,6 +14,8 @@ from cactus_partition import (
     merge,
     oracle_decide,
 )
+from cactus_partition.errors import IntervalCountError
+from cactus_partition.interval_dp import IntervalAlgebra
 
 from dp_reference import interval_oplus, intervals_of, subtree_sets
 from util import graph_from, path, random_graph, triangle
@@ -77,6 +79,81 @@ def test_interval_oplus_cut_blocked_outside_window():
 def test_interval_oplus_empty():
     params = ProblemParams(0, 10, 5)
     assert interval_oplus({1: [(2, 2)]}, {}, params) == {}
+
+
+def _random_runs(rng, k, top, gap):
+    """At most ``k`` merged runs, each starting at most ``top``."""
+    raw = [(lo, lo + rng.randint(0, 6)) for lo in rng.sample(range(top + 1), rng.randint(1, min(2 * k, top + 1)))]
+    return tuple(merge(raw, gap)[:k])
+
+
+def _reference_combine(a, b, params):
+    """``interval_oplus`` merged count by count, count-ascending."""
+    raw = interval_oplus(a, b, params)
+    return {k: tuple(merge(raw[k], params.gap)) for k in sorted(raw)}
+
+
+def _check_combine(a, b, params):
+    """``IntervalAlgebra.combine`` against the reference: the same runs,
+    count-ascending, or ``IntervalCountError`` where a count would hold
+    more runs than clusters.  Returns whether it raised."""
+    alg = IntervalAlgebra(graph_from({"a": 1}, []), params)
+    expected = _reference_combine(a, b, params)
+    if any(len(ivs) > k for k, ivs in expected.items()):
+        with pytest.raises(IntervalCountError):
+            alg.combine(a, b, None, None)
+        return True
+    got = alg.combine(a, b, None, None)
+    assert got == expected and list(got) == list(expected)
+    return False
+
+
+# name: (lower, upper, p, parent count k1, parent low ends up to, parent
+# widths up to, child counts, child low ends up to).  A bare-vertex
+# parent takes combine's one-pass branch.
+BARE_PARENT_CASES = {
+    "zero-weight-parent": (4, 12, 8, 1, 0, 0, (1, 2, 3, 4), 12),
+    "wide-parent": (4, 12, 8, 1, 5, 6, (1, 2, 3, 4), 12),
+    "gaps-in-child-counts": (4, 12, 9, 2, 4, 3, (1, 3, 4, 7), 12),
+    "counts-at-and-past-p": (4, 12, 4, 2, 4, 3, (1, 2, 3, 4, 5), 12),
+    "window-missed-below": (30, 40, 8, 1, 3, 2, (1, 2, 3), 12),
+    "window-missed-above": (2, 6, 8, 1, 3, 2, (1, 2, 3), 20),
+    "zero-gap": (5, 5, 8, 1, 2, 0, (1, 2, 3, 4), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BARE_PARENT_CASES))
+def test_bare_parent_combine_matches_interval_oplus(case):
+    lower, upper, p, k1, lo_top, width, b_counts, b_top = BARE_PARENT_CASES[case]
+    params = ProblemParams(lower, upper, p)
+    for seed in range(60):
+        rng = random.Random(seed)
+        a_lo = rng.randint(0, lo_top)
+        a = {k1: ((a_lo, a_lo + rng.randint(0, width)),)}
+        b = {k: _random_runs(rng, k, b_top, params.gap) for k in b_counts}
+        _check_combine(a, b, params)
+
+
+def test_other_parents_combine_matches_interval_oplus():
+    """Parents with several counts or runs: raw lists of one, two and
+    more intervals per count, merged by ``_merged``."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        lower = rng.randint(0, 10)
+        params = ProblemParams(lower, lower + rng.randint(0, 8), rng.randint(1, 8))
+        a_counts = sorted(rng.sample(range(1, 6), rng.randint(1, 3)))
+        a = {k: _random_runs(rng, k, 12, params.gap) for k in a_counts}
+        b_counts = sorted(rng.sample(range(1, 6), rng.randint(1, 4)))
+        b = {k: _random_runs(rng, k, 12, params.gap) for k in b_counts}
+        _check_combine(a, b, params)
+
+
+def test_over_full_counts_still_raise():
+    params = ProblemParams(8, 10, 4)  # gap 2
+    # bare parent: count 2 gets the cut (0, 0) and both shifted runs of b[2]
+    assert _check_combine({1: ((0, 0),)}, {1: ((8, 8),), 2: ((3, 3), (6, 6))}, params)
+    # two raw intervals at count 1, too far apart to merge
+    assert _check_combine({1: ((0, 0), (5, 5))}, {1: ((1, 1),)}, params)
 
 
 def test_single_vertex_interval():

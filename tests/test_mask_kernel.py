@@ -70,6 +70,48 @@ def test_combine_matches_oplus(case):
         assert got == oplus(_mask_state_to_set(a), _mask_state_to_set(b), params)
 
 
+# name: (lower, upper, p, parent count k1, parent weight x1, child counts,
+# width of the child's bits).  A bare-vertex parent takes combine's
+# one-pass branch.
+BARE_PARENT_CASES = {
+    "zero-weight-parent": (3, 40, 9, 1, 0, (1, 2, 3, 4), 41),
+    "heavy-parent": (3, 40, 9, 1, 37, (1, 2, 3, 4), 41),
+    "gaps-in-child-counts": (3, 40, 12, 2, 5, (1, 3, 4, 7), 41),
+    "descending-child-counts": (3, 40, 12, 1, 5, (4, 1, 3, 2), 41),
+    "counts-at-and-past-p": (3, 40, 4, 2, 5, (1, 2, 3, 4, 5), 41),
+    "window-missed": (30, 40, 9, 1, 6, (1, 2, 3), 30),
+}
+
+
+def _oplus_key_order(k1, a, b, params):
+    """Key order of the general loop, from ``oplus`` alone: per child
+    count, in the child's order, the cut's count k1 + k2 before the
+    merge's k1 + k2 - 1, each listed where it first gets a weight."""
+    order = []
+    for k2, mb in b.items():
+        counts = {k for _x, k in oplus(_mask_state_to_set(a), _mask_state_to_set({k2: mb}), params)}
+        for k in (k1 + k2, k1 + k2 - 1):
+            if k in counts and k not in order:
+                order.append(k)
+    return order
+
+
+@pytest.mark.parametrize("case", sorted(BARE_PARENT_CASES))
+def test_bare_parent_combine_matches_oplus(case):
+    lower, upper, p, k1, x1, b_counts, b_width = BARE_PARENT_CASES[case]
+    params = ProblemParams(lower, upper, p)
+    alg = MaskAlgebra(_heavy_vertex(2 * upper), params)
+    a = {k1: 1 << x1}
+    for seed in range(40):
+        rng = random.Random(seed)
+        b = {k: rng.getrandbits(b_width) or 1 for k in b_counts}
+        got = alg.combine(a, b, None, None)
+        expected = oplus(_mask_state_to_set(a), _mask_state_to_set(b), params)
+        assert _mask_state_to_set(got) == expected
+        assert all(got.values())
+        assert list(got) == _oplus_key_order(k1, a, b, params)
+
+
 _masks = st.dictionaries(st.integers(1, 4), st.integers(1, (1 << 25) - 1), min_size=1, max_size=4)
 
 

@@ -60,6 +60,11 @@ remember one witness combination each, stays here as the reference the
 tests compare the tuple-set witnesses with.  The deciders answer "no"
 without building a tree when :func:`trivially_infeasible` finds a
 reason, such as a total weight no ``p`` clusters in the window can make.
+
+The deciders read the root's state alone, so their runs keep only the
+DP frontier, and a decide's memory follows that frontier, not the tree
+(:func:`run_tree_dp`).  ``annotate``, the variants and
+``interval_subtree_sets`` keep every partial state.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from collections import namedtuple
 
 from .errors import InvalidParamsError, WeightExceedsUpperError
 from .graph_model import CactusGraph, edge_key
-from .tree_rep import CactusTree, absent_cycle_edge, build_tree, graph_of
+from .tree_rep import CactusTree, absent_cycle_edge, as_tree, graph_of
 
 
 class ProblemParams(namedtuple("ProblemParams", "lower upper num_clusters")):
@@ -126,26 +131,37 @@ def trivially_infeasible(graph: CactusGraph, params: ProblemParams) -> str | Non
 # shared traversal
 
 
-def run_tree_dp(tree, alg, config_sink=None):
-    """Fold ``alg`` bottom-up over the tree, returning all partial states.
+def run_tree_dp(tree, alg, config_sink=None, *, frontier=False):
+    """Fold ``alg`` bottom-up over the tree, returning its partial states.
 
     The result maps ``(v, i)`` to the algebra state of the subtree made of
-    ``v`` and its first ``i`` children.  ``config_sink``, when given, is
-    filled with the per-configuration states of every cycle, keyed by
-    ``(cycle, j)``, for the configurations ``1..cycle_cutoff(alg, cycle)``
-    that the run folds.
+    ``v`` and its first ``i`` children.  By default it holds every such
+    state, as the witness walks, the variants and
+    ``interval_subtree_sets`` need.  With ``frontier`` (the deciders) no
+    intermediate ``(v, i)`` is stored and a node's full state is dropped
+    once it is combined into its parent or folded into its cycle: the run
+    holds only the states still to be combined, and the result holds the
+    root's context alone, with the same state.
+    ``config_sink``, when given, is filled with the per-configuration
+    states of every cycle, keyed by ``(cycle, j)``, for the configurations
+    ``1..cycle_cutoff(alg, cycle)`` that the run folds.
     """
     sets = {}
+    take = sets.pop if frontier else sets.__getitem__
     for v in tree.postorder():
         state = alg.base(v)
-        sets[(v, 0)] = state
         kids = tree.children[v]
         on_cyc = tree.on_cycle_child.get(v)
         for idx, child in enumerate(kids, start=1):
+            if not frontier:
+                sets[(v, idx - 1)] = state
             cyc = tree.cycle_at.get((v, idx))
             if cyc is not None:  # the union of configurations 1..J
                 js = range(1, cycle_cutoff(alg, cyc) + 1)
                 owns = cycle_node_states(tree, sets, cyc)
+                if frontier:
+                    for node in cyc.path[1:]:
+                        del sets[(node, tree.full_index(node))]
                 configs = _fold_configurations(alg, cyc, js, owns, state, alg.combine)
                 if config_sink is not None:
                     config_sink.update(((cyc, j), config) for j, _step, config in configs)
@@ -153,11 +169,10 @@ def run_tree_dp(tree, alg, config_sink=None):
             elif child == on_cyc:
                 # combined at the cycle's start node instead; must be last
                 assert idx == len(kids)
-                continue
             else:
-                child_state = sets[(child, tree.full_index(child))]
+                child_state = take((child, tree.full_index(child)))
                 state = alg.combine(state, child_state, edge_key(v, child), None)
-            sets[(v, idx)] = state
+        sets[(v, tree.full_index(v))] = state
     return sets
 
 
@@ -529,17 +544,19 @@ def _check_leaf_weights(graph: CactusGraph, params: ProblemParams) -> None:
 
 
 def decide_p_partition(
-    graph: CactusGraph, params: ProblemParams, root: str | None = None
+    graph: CactusGraph | CactusTree, params: ProblemParams, root: str | None = None
 ) -> bool:
     """Decide whether the graph splits into exactly the requested clusters.
 
     True iff there is a partition into ``params.num_clusters`` connected
-    clusters whose weights all lie in ``[lower, upper]``.
+    clusters whose weights all lie in ``[lower, upper]``.  ``graph`` may
+    be a :class:`CactusTree` (``root`` is then ignored).  The run keeps
+    only its frontier (:func:`run_tree_dp`).
     """
     if trivially_infeasible(graph_of(graph, root), params):
         return False
-    tree = build_tree(graph, root)
-    alg = MaskAlgebra(graph, params)
-    states = run_tree_dp(tree, alg)
+    tree = as_tree(graph, root)
+    alg = MaskAlgebra(tree.graph, params)
+    states = run_tree_dp(tree, alg, frontier=True)
     mask = states[(tree.root, tree.full_index(tree.root))].get(params.num_clusters, 0)
     return bool(mask & alg.window_mask)

@@ -51,7 +51,7 @@ from .dp_core import (
 )
 from .errors import IntervalCountError
 from .graph_model import CactusGraph
-from .tree_rep import CactusTree, build_tree, graph_of
+from .tree_rep import CactusTree, as_tree, graph_of
 
 Interval = tuple[int, int]
 
@@ -226,12 +226,14 @@ def interval_subtree_sets(tree: CactusTree, params: ProblemParams):
 
 
 def decide_p_partition_poly(
-    graph: CactusGraph, params: ProblemParams, root: str | None = None
+    graph: CactusGraph | CactusTree, params: ProblemParams, root: str | None = None
 ) -> bool:
-    """Interval-compressed equivalent of ``decide_p_partition``."""
+    """Interval-compressed equivalent of ``decide_p_partition``; its run
+    keeps only its frontier, too."""
     if trivially_infeasible(graph_of(graph, root), params):
         return False
-    tree = build_tree(graph, root)
-    state = interval_subtree_sets(tree, params)[(tree.root, tree.full_index(tree.root))]
+    tree = as_tree(graph, root)
+    states = run_tree_dp(tree, IntervalAlgebra(tree.graph, params), frontier=True)
+    state = states[(tree.root, tree.full_index(tree.root))]
     lower, upper = params.lower, params.upper
     return any(lo <= upper and hi >= lower for lo, hi in state.get(params.num_clusters, ()))

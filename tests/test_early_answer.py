@@ -20,13 +20,12 @@ from cactus_partition import (
     capacity_partition,
     decide_p_partition,
     decide_p_partition_poly,
-    dp_core,
-    interval_dp,
     max_partition,
     maxmin_partition,
     min_cost_partition,
     min_partition,
     minmax_partition,
+    tree_rep,
     trivially_infeasible,
 )
 from cactus_partition.cli import run
@@ -108,12 +107,11 @@ def test_min_cost_with_a_count_answers_from_the_sum_bound():
 @pytest.mark.parametrize("decide", [decide_p_partition, decide_p_partition_poly])
 def test_deciders_answer_the_sum_bound_without_a_tree(decide, monkeypatch):
     built = []
-    for module in (dp_core, interval_dp):
-        monkeypatch.setattr(
-            module, "build_tree", lambda graph, root=None, _real=module.build_tree: (
-                built.append(graph) or _real(graph, root)
-            ),
-        )
+    monkeypatch.setattr(  # where ``as_tree`` looks it up
+        tree_rep, "build_tree", lambda graph, root=None, _real=tree_rep.build_tree: (
+            built.append(graph) or _real(graph, root)
+        ),
+    )
     g = path([2, 2, 2])
     assert trivially_infeasible(g, ProblemParams(4, 6, 2)) == LOWER_SUM
     assert decide(g, ProblemParams(4, 6, 2)) is False
@@ -149,8 +147,7 @@ def test_a_bad_root_raises_before_an_early_answer(entry):
     assert not solve(g, "n1")
     with pytest.raises(ValueError, match="root 'zz' is not a vertex"):
         solve(g, "zz")
-    if entry not in ("decide", "decide-poly"):  # a tree keeps its own root
-        assert not solve(build_tree(g), "zz")
+    assert not solve(build_tree(g), "zz")  # a tree keeps its own root
 
 
 def test_the_sum_bound_never_rejects_a_feasible_count():

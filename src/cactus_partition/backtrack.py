@@ -4,10 +4,16 @@ Reconstruction walks a solver run from the root downwards and collects
 the edges cut along the way; deleting the collected edges from the graph
 yields the clusters.
 
-Both walks name the states they pass through by the contexts of
-:class:`~.dp_core.ContextMap`, which hands out the two states and the
-edge each one was combined from, refolding a cycle configuration only
-when a walk enters it, and the per-configuration states of each cycle.
+``annotate`` keeps every partial state of the run, each cycle
+configuration's state and, for the configurations a walk may enter, the
+joined and chain states folded inside it.  Which those are is decided as
+each configuration is folded (``_mask_entered``, ``_interval_entered``),
+so the states of the others are freed at once.  The walks name states by
+the contexts of :class:`~.dp_core.ContextMap`, which hands out the two
+states and the edge each was combined from, so a walk combines nothing.
+States under a count cap above the walk's count (min / max use the
+vertex count) serve it as they are: entries up to a count do not depend
+on the cap.
 
 The tuple-set engine keeps no records.  Its bitmask states are exact, so
 any split of a stored tuple into achievable parts extends to a valid
@@ -20,28 +26,32 @@ tuple.  The split follows the order of ``TupleAlgebra``'s records
 same as a recorded run would give.  The walk keeps an explicit stack, so
 the interpreter's recursion limit does not bound the depth of the tree.
 
-The interval engine keeps no records either, but its states are
-compressed: a stored interval only guarantees that some member weight
-is achievable, so not every split extends to a partition and the walk
-searches.  It keeps a window of weights that would still complete a
-valid partition and tries, depth-first, the combinations that produced
-the interval, recomputing them at each context it passes through: the
-raw intervals of the merge group (in ``(lo, hi)`` order), the pairs of
-parent and child intervals that combine into each (child count
-ascending, then child interval, cut before merge), and the cycle
-configurations holding it (ascending ``j``).  Descending into a cluster
-merge with child interval ``[b, b']`` widens the child side: the parent
-side is searched within ``[lo - b', hi - b]`` and, once its exact weight
-x is fixed, the child side must land in ``[lo - x, hi - x]``.  Completed
-clusters are searched against the original weight window and memoised.
-The first solution in this deterministic order is returned, so
-reconstruction is reproducible; it is the order in which a recorded
-interval algebra's records would be searched, and the witnesses are the
-same.  The search frames are generators driven from one explicit stack,
-so its depth is not bounded by the recursion limit either.
+The interval engine keeps no records either, and its states are
+compressed, so the walk keeps a window of weights that would still
+complete a valid partition and, at each context, takes the first
+combination that produced the interval it needs and meets the window,
+recomputed there: the lowest raw interval of the merge group, in ``(lo,
+hi)`` order, and its first producing pair of parent and child intervals
+(child count ascending, then child interval, cut before merge), or at a
+cycle's start the lowest ``(interval, j)`` of the configurations.  A cut
+child's cluster gets the window ``[lower, upper]``.  In a merge with
+child interval ``[b, b']`` the parent side gets ``[lo - b', hi - b]`` and,
+once its weight x is fixed, the child side ``[lo - x, hi - x]`` (both
+clipped at 0).  This is the first solution of a depth-first search in
+that order, the one a recorded interval algebra's records give, found
+without backing up.  Every window is ``[lower, upper]``, or another
+window shifted or widened and then clipped at 0, so it is at least
+``gap`` wide or starts at 0.  The raw intervals of a merge group step at
+most ``gap`` apart from its lower end to its upper end, so a stored
+interval meeting such a window has a raw interval meeting it, and the
+first one's parent and child intervals meet the windows set for them;
+down to the leaves, the first candidate always has a realisation.  A
+state that breaks this raises :class:`WitnessNotFoundError`.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .dp_core import (
     ContextMap,
@@ -52,44 +62,26 @@ from .dp_core import (
     run_tree_dp,
 )
 from .errors import WitnessNotFoundError
-from .graph_model import CactusGraph, Partition, canonicalize_partition, fields_repr
+from .graph_model import CactusGraph, Partition, canonicalize_partition
 from .interval_dp import IEntry, IntervalAlgebra
 from .tree_rep import CactusTree, absent_cycle_edge, as_tree
 
 
-class AnnotatedRun:
-    """A solver run kept for backtracking.
+class AnnotatedRun(namedtuple(
+    "AnnotatedRun", "tree params algorithm states root_state configs folds"
+)):
+    """A solver run kept for backtracking, immutable.
 
-    For the tuple-set engine ``states`` are the bitmask states of every
-    partial subtree, ``configs`` the per-configuration states of every
-    cycle keyed by ``(cycle, j)``, and ``root_state`` the root's tuple set
-    as ``(x, k)`` pairs.  The states may have been computed under a count
-    cap above ``params.num_clusters`` (the min / max variants do); the
-    entries up to the cap are the same either way.  For the interval
-    engine ``states`` and ``configs`` hold the plain interval states and
-    ``root_state`` maps each count to the root's intervals as
-    :class:`IEntry` values.
+    ``states`` holds every partial state (bitmasks or plain intervals),
+    ``configs`` each folded configuration's state keyed ``(cycle, j)``,
+    ``folds`` per cycle start its configurations' states and the folds a
+    walk may enter (:class:`ContextMap`), and ``root_state`` the root's
+    ``(x, k)`` tuples or, per count, its :class:`IEntry` intervals.  The
+    states may come from a count cap above ``params.num_clusters``: min /
+    max ``_replace`` the count they walk at.
     """
 
-    __slots__ = ("tree", "params", "algorithm", "states", "root_state", "configs")
-
-    def __init__(self, tree: CactusTree, params: ProblemParams, algorithm: str,
-                 states: dict, root_state: dict | frozenset, configs: dict | None = None):
-        self.tree, self.params, self.algorithm = tree, params, algorithm
-        self.states, self.root_state, self.configs = states, root_state, configs
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return fields_repr(self, self.__slots__)
+    __slots__ = ()
 
     @property
     def graph(self) -> CactusGraph:
@@ -99,12 +91,19 @@ class AnnotatedRun:
         """Cluster counts whose root entries meet ``[lower, upper]``."""
         lower, upper = self.params.lower, self.params.upper
         if self.algorithm == "interval":
-            return {
-                k
-                for k, entries in self.root_state.items()
-                if any(e.intersects(lower, upper) for e in entries)
-            }
+            return {k for k, entries in self.root_state.items()
+                    if any(e.intersects(lower, upper) for e in entries)}
         return {k for (x, k) in self.root_state if lower <= x <= upper}
+
+
+def _engine(algorithm: str):
+    """The algebra of engine ``algorithm`` ("tupleset" or "interval") and
+    its walk's rule for the configurations it may enter."""
+    if algorithm == "tupleset":
+        return MaskAlgebra, _mask_entered
+    if algorithm == "interval":
+        return IntervalAlgebra, _interval_entered
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def annotate(
@@ -113,27 +112,36 @@ def annotate(
     algorithm: str = "tupleset",
     root: str | None = None,
 ) -> AnnotatedRun:
-    """Run a solver and keep what :func:`reconstruct` needs.
-
-    ``algorithm`` selects the tuple-set solver (bitmask states) or the
-    interval-compressed one (interval states); either way the
-    per-configuration states of every cycle are kept too.
-    """
+    """Run the tuple-set or the interval engine (``algorithm``) and keep
+    what :func:`reconstruct` needs.  An unknown ``algorithm`` raises
+    ``ValueError`` before anything else is checked."""
+    algebra, rule = _engine(algorithm)
     tree = as_tree(graph, root)
     _check_leaf_weights(tree.graph, params)
-    root_ctx = (tree.root, tree.full_index(tree.root))
-    configs: dict = {}
+    configs, folds = {}, {}
+    states = run_tree_dp(tree, algebra(tree.graph, params), configs, fold_sink=_keeper(rule, folds))
+    root_state = states[(tree.root, tree.full_index(tree.root))]
     if algorithm == "tupleset":
-        states = run_tree_dp(tree, MaskAlgebra(tree.graph, params), config_sink=configs)
-        root_state = _mask_state_to_set(states[root_ctx])
-    elif algorithm == "interval":
-        states = run_tree_dp(tree, IntervalAlgebra(tree.graph, params), config_sink=configs)
-        root_state = {
-            k: tuple(IEntry(lo, hi) for lo, hi in ivs) for k, ivs in states[root_ctx].items()
-        }
+        root_state = _mask_state_to_set(root_state)
     else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return AnnotatedRun(tree, params, algorithm, states, root_state, configs)
+        root_state = {k: tuple(IEntry(lo, hi) for lo, hi in ivs) for k, ivs in root_state.items()}
+    return AnnotatedRun(tree, params, algorithm, states, root_state, configs, folds)
+
+
+def _keeper(rule, folds: dict):
+    """A ``fold_sink`` for :func:`run_tree_dp` that fills ``folds`` for a
+    :class:`ContextMap`: every configuration's state, and the fold of
+    those a walk may enter.  ``rule()`` gives a function that sees a
+    cycle's configuration states in order of ``j`` and says which."""
+    def open_cycle(start):
+        states, kept = folds[start] = [], []
+        may_enter = rule()
+
+        def keep(_j, joined, chains):
+            states.append(joined[-1])
+            kept.append((joined, chains) if may_enter(joined[-1]) else None)
+        return keep
+    return open_cycle
 
 
 def _split(a: dict, b: dict, x: int, k: int, window: int):
@@ -181,13 +189,10 @@ def _split(a: dict, b: dict, x: int, k: int, window: int):
 def _mask_witness_cuts(run: AnnotatedRun, key) -> set:
     """Cut edges of the witness of root tuple ``key`` in a tuple-set run."""
     tree = run.tree
-    # Entries with counts up to key[1] do not depend on the count cap, and
-    # no tuple below the root has a larger count, so chains are refolded
-    # under that cap.
-    alg = MaskAlgebra(tree.graph, ProblemParams(run.params.lower, run.params.upper, key[1]))
-    contexts = ContextMap(tree, alg, run.states, run.configs)
+    window = MaskAlgebra(tree.graph, run.params).window_mask
+    contexts = ContextMap(tree, run.states, run.folds)
     cuts: set = set()
-    stack = [(contexts.full[tree.root], key)]
+    stack = [(contexts.full(tree.root), key)]
     while stack:
         ctx, key = stack.pop()
         if len(ctx) == 2:
@@ -196,17 +201,31 @@ def _mask_witness_cuts(run: AnnotatedRun, key) -> set:
             cyc = tree.cycle_at.get(ctx)
             if cyc is not None:  # the lowest configuration holding the tuple
                 x, k = key
-                configs = contexts.config_states(ctx)
-                j = next(j for j, st in enumerate(configs, start=1) if st.get(k, 0) >> x & 1)
+                j = next(j for j, st in contexts.config_states(ctx) if st.get(k, 0) >> x & 1)
                 cuts.add(absent_cycle_edge(cyc, j))
                 stack.append(((ctx, j, None), key))
                 continue
         a_ctx, a, b_ctx, b, edge = contexts.parts(ctx)
-        a_key, b_key, cut = _split(a, b, *key, alg.window_mask)
+        a_key, b_key, cut = _split(a, b, *key, window)
         if cut:
             cuts.add(edge)
         stack += [(a_ctx, a_key), (b_ctx, b_key)]
     return cuts
+
+
+def _mask_entered():
+    """The tuple-set walk enters the lowest configuration holding its
+    tuple: true for a configuration holding one that no lower one holds."""
+    seen: dict = {}
+
+    def holds_new(state):
+        new = False
+        for k, mask in state.items():
+            if mask & ~seen.get(k, 0):
+                seen[k] = seen.get(k, 0) | mask
+                new = True
+        return new
+    return holds_new
 
 
 def collect_cuts(state: dict, key) -> set:
@@ -244,35 +263,57 @@ def collect_cuts(state: dict, key) -> set:
     return cuts
 
 
-def _raw_intervals(a: dict, b: dict, k: int, lo: int, hi: int, lower: int, upper: int):
-    """Raw intervals at count ``k`` of ``combine(a, b)`` starting in ``[lo, hi]``.
-
-    These are the members of the merge group of a stored interval
-    ``[lo, hi]``.  Returns ``[((lo, hi), pairs), ...]`` in ``(lo, hi)``
-    order, where ``pairs`` lists the ``(cut, k1, a_iv, k2, b_iv)`` that
-    produce the raw interval: child count ascending, then child interval,
-    the cut before the merge.
-    """
-    found: dict = {}
-    hi = min(hi, upper)
+def _first_candidate(a, b, k, e_lo, e_hi, lo, hi, lower, upper):
+    """``(raw, (cut, k1, a_iv, k2, b_iv))``, the combination the walk takes
+    at count ``k`` of ``combine(a, b)``: the lowest raw interval in the
+    merge group of stored interval ``[e_lo, e_hi]`` meeting the window
+    ``[lo, hi]``, and the first pair of parent and child intervals making
+    it; None if there is none."""
+    best = None
+    top = min(e_hi, upper, hi)
     for k2, ivs_b in b.items():
         if k2 > k:
             break  # states are count-ascending
         cut_a = a.get(k - k2, ())
         merge_a = a.get(k - k2 + 1, ())
-        for b_iv in ivs_b:
+        for b_iv in ivs_b:  # per child interval, a's runs ascend: the first fit is its lowest
             b_lo, b_hi = b_iv
             if cut_a and b_lo <= upper and b_hi >= lower:
                 for a_iv in cut_a:
-                    if lo <= a_iv[0] <= hi:
-                        found.setdefault(a_iv, []).append((True, k - k2, a_iv, k2, b_iv))
+                    if e_lo <= a_iv[0] <= top and a_iv[1] >= lo:
+                        if best is None or a_iv < best[0]:
+                            best = (a_iv, (True, k - k2, a_iv, k2, b_iv))
+                        break
             for a_iv in merge_a:
                 x = a_iv[0] + b_lo
-                if lo <= x <= hi:
-                    found.setdefault((x, a_iv[1] + b_hi), []).append(
-                        (False, k - k2 + 1, a_iv, k2, b_iv)
-                    )
-    return sorted(found.items())
+                if e_lo <= x <= top and a_iv[1] + b_hi >= lo:
+                    raw = (x, a_iv[1] + b_hi)
+                    if best is None or raw < best[0]:
+                        best = (raw, (False, k - k2 + 1, a_iv, k2, b_iv))
+                    break
+    return best
+
+
+def _interval_entered():
+    """The interval walk enters the first ``(interval, j)`` meeting its
+    window in a merge group: false for a configuration each of whose
+    intervals ``[lo, hi]`` a lower one holds too, or covers with
+    ``[lo', hi']``, ``lo' < lo <= hi <= hi'``.  That one comes first, in
+    the same group, and meets every window ``[lo, hi]`` meets."""
+    seen: dict = {}
+
+    def holds_new(state):
+        new = False
+        for k, ivs in state.items():
+            held = seen.get(k)
+            if held is None:
+                seen[k], new = set(ivs), True
+            elif not held.issuperset(ivs):
+                new = new or any(iv not in held and not any(a < iv[0] and b >= iv[1] for a, b in held)
+                                 for iv in ivs)
+                held.update(ivs)
+        return new
+    return holds_new
 
 
 def _cut_edges(cuts) -> set:
@@ -289,107 +330,66 @@ def _cut_edges(cuts) -> set:
     return out
 
 
-class _IntervalWalk:
-    """Depth-first search for an interval witness over the contexts of a
-    :class:`ContextMap`, recomputing the records it would have kept."""
+# what the walk does once a task is realised, on the stack in tuples led by
+_WRAP = 0  # (edge, cuts, dx): add dx and a cut-tree node to the realisation
+_CLUSTER = 1  # (edge, a_task): the child's cluster is complete; realise the parent side
+_MERGE = 2  # (b_ctx, k2, b_lo, b_hi, lo, hi): the parent side is realised; now the child side
 
-    def __init__(self, run: AnnotatedRun, count: int):
-        self.tree = run.tree
-        self.lower, self.upper = run.params.lower, run.params.upper
-        # as for the tuple-set walk: entries with counts up to ``count`` do
-        # not depend on the count cap, so chains are refolded under it
-        params = ProblemParams(self.lower, self.upper, count)
-        self.contexts = ContextMap(
-            run.tree, IntervalAlgebra(run.graph, params), run.states, run.configs
-        )
-        self._done: dict = {}  # completed clusters: (context, k, lo, hi) -> result
 
-    @staticmethod
-    def first(frame):
-        """The first ``(x, cuts)`` a frame yields, or None.
-
-        Frames are iterators.  A frame that searches is a generator: it
-        yields a child frame to ask for the child's next realisation and
-        is sent it (or None once the child is exhausted), and it yields a
-        tuple to hand a realisation to the frame that asked.  Driving them
-        from one stack keeps the search off the interpreter's call stack.
-        """
-        stack = [frame]
-        sent = None
-        while stack:
-            top = stack[-1]
-            try:
-                out = next(top) if sent is None else top.send(sent)
-            except StopIteration:
-                stack.pop()
-                sent = None
-                continue
-            if type(out) is tuple:
-                stack.pop()
-                sent = out
+def _interval_witness(run: AnnotatedRun, task):
+    """Realise ``task`` ``(ctx, k, e_lo, e_hi, lo, hi)``: a weight ``x`` in
+    ``[lo, hi]`` of stored interval ``[e_lo, e_hi]`` at count ``k`` of the
+    state at ``ctx``, and a cut tree for :func:`_cut_edges` of a partition
+    making it, the first in the walk's order (module docstring)."""
+    tree, params = run.tree, run.params
+    weight, cycle_at, lower, upper = tree.graph.weight, tree.cycle_at, params.lower, params.upper
+    contexts = ContextMap(tree, run.states, run.folds)
+    stack: list = []
+    while True:
+        ctx, k, e_lo, e_hi, lo, hi = task
+        if len(ctx) == 2 and ctx[1] == 0:  # a leaf: its weight meets the window
+            got = (weight[ctx[0]], None)  # (every task's interval meets its window)
+        else:
+            if len(ctx) == 2 and ctx in cycle_at:
+                found = min(((iv, j) for j, state in contexts.config_states(ctx) for iv in state.get(k, ())
+                             if e_lo <= iv[0] <= min(e_hi, hi) and iv[1] >= lo), default=None)
+                if found:
+                    (r_lo, r_hi), j = found
+                    stack.append((_WRAP, absent_cycle_edge(cycle_at[ctx], j), None, 0))
+                    task = ((ctx, j, None), k, r_lo, r_hi, lo, hi)
             else:
-                stack.append(out)
-                sent = None
-        return sent
-
-    def frame(self, ctx, k, e_lo, e_hi, lo, hi):
-        """Iterator over the ``(x, cuts)`` realisations in ``[lo, hi]`` of
-        interval ``[e_lo, e_hi]`` at count ``k`` of the state at ``ctx``.
-
-        ``cuts`` is a cut tree for :func:`_cut_edges`.
-        """
-        if lo > hi or e_lo > hi or e_hi < lo:
-            return iter(())
-        if len(ctx) == 2:
-            if ctx[1] == 0:
-                x = self.tree.graph.weight[ctx[0]]
-                return iter(((x, None),) if lo <= x <= hi else ())
-            if ctx in self.tree.cycle_at:
-                return self._union(ctx, k, e_lo, e_hi, lo, hi)
-        return self._combination(ctx, k, e_lo, e_hi, lo, hi)
-
-    def _combination(self, ctx, k, e_lo, e_hi, lo, hi):
-        a_ctx, a, b_ctx, b, edge = self.contexts.parts(ctx)
-        lower, upper, done_memo = self.lower, self.upper, self._done
-        for (r_lo, r_hi), pairs in _raw_intervals(a, b, k, e_lo, e_hi, lower, upper):
-            if r_lo > hi or r_hi < lo:
-                continue
-            for cut, k1, (a_lo, a_hi), k2, (b_lo, b_hi) in pairs:
-                if cut:
-                    key = (b_ctx, k2, b_lo, b_hi)
-                    if key in done_memo:
-                        done = done_memo[key]
+                a_ctx, a, b_ctx, b, edge = contexts.parts(ctx)
+                found = _first_candidate(a, b, k, e_lo, e_hi, lo, hi, lower, upper)
+                if found:
+                    cut, k1, (a_lo, a_hi), k2, (b_lo, b_hi) = found[1]
+                    if cut:  # the child's cluster, then the parent side
+                        stack.append((_CLUSTER, edge, (a_ctx, k1, a_lo, a_hi, lo, hi)))
+                        task = (b_ctx, k2, b_lo, b_hi, lower, upper)
+                    elif len(a_ctx) == 2 and a_ctx[1] == 0:  # a leaf parent side: a_lo
+                        stack.append((_WRAP, None, None, a_lo))  # meets its window
+                        task = (b_ctx, k2, b_lo, b_hi, max(0, lo - a_lo), hi - a_lo)
                     else:
-                        done = yield self.frame(b_ctx, k2, b_lo, b_hi, lower, upper)
-                        done_memo[key] = done
-                    if done is None:
-                        continue
-                    child = self.frame(a_ctx, k1, a_lo, a_hi, lo, hi)
-                    while (got := (yield child)) is not None:
-                        yield (got[0], (edge, got[1], done[1]))
-                else:
-                    a_side = self.frame(a_ctx, k1, a_lo, a_hi, max(0, lo - b_hi), hi - b_lo)
-                    while (got_a := (yield a_side)) is not None:
-                        ax = got_a[0]
-                        b_side = self.frame(b_ctx, k2, b_lo, b_hi, max(0, lo - ax), hi - ax)
-                        while (got_b := (yield b_side)) is not None:
-                            yield (ax + got_b[0], (None, got_a[1], got_b[1]))
-
-    def _union(self, start, k, e_lo, e_hi, lo, hi):
-        cyc = self.tree.cycle_at[start]
-        found: dict = {}
-        for j, state in enumerate(self.contexts.config_states(start), start=1):
-            for iv in state.get(k, ()):
-                if e_lo <= iv[0] <= e_hi:
-                    found.setdefault(iv, []).append(j)
-        for (r_lo, r_hi), js in sorted(found.items()):
-            if r_lo > hi or r_hi < lo:
-                continue
-            for j in js:
-                absent = absent_cycle_edge(cyc, j)
-                child = self.frame((start, j, None), k, r_lo, r_hi, lo, hi)
-                while (got := (yield child)) is not None:
-                    yield (got[0], (absent, got[1], None))
+                        stack.append((_MERGE, b_ctx, k2, b_lo, b_hi, lo, hi))
+                        task = (a_ctx, k1, a_lo, a_hi, max(0, lo - b_hi), hi - b_lo)
+            if not found:
+                raise WitnessNotFoundError(f"interval {(e_lo, e_hi)!r} at {ctx!r} has no realisation "
+                                           f"in [{lo}, {hi}]: the state breaks the endpoint contract")
+            continue
+        while stack:  # a leaf is realised: go back up to the next task
+            top = stack.pop()
+            if top[0] == _WRAP:
+                got = (got[0] + top[3], (top[1], got[1], top[2]))
+            elif top[0] == _CLUSTER:
+                stack.append((_WRAP, top[1], got[1], 0))
+                task = top[2]
+                break
+            else:  # _MERGE: the parent side's weight fixes the child's window
+                ax = got[0]
+                stack.append((_WRAP, None, got[1], ax))
+                task = top[1:5] + (max(0, top[5] - ax), top[6] - ax)
+                break
+        else:
+            return got
 
 
 def reconstruct(run: AnnotatedRun, target=None) -> Partition:
@@ -405,30 +405,17 @@ def reconstruct(run: AnnotatedRun, target=None) -> Partition:
     """
     params = run.params
     if run.algorithm == "tupleset":
-        key = target
-        if key is None:
-            options = sorted(
-                (x, k)
-                for (x, k) in run.root_state
-                if k == params.num_clusters and params.lower <= x <= params.upper
-            )
-            key = options[0] if options else None
+        key = target if target is not None else min(
+            ((x, k) for x, k in run.root_state
+             if k == params.num_clusters and params.lower <= x <= params.upper), default=None)
         if key is None or key not in run.root_state:
             raise WitnessNotFoundError("no feasible root tuple to reconstruct")
         return canonicalize_partition(run.graph, _mask_witness_cuts(run, key))
 
-    if target is None:
-        k = params.num_clusters
-        entries = run.root_state.get(k, ())
-    else:
-        lo, hi, k = target
-        entries = [e for e in run.root_state.get(k, ()) if (e.lo, e.hi) == (lo, hi)]
-    walk = _IntervalWalk(run, k)
-    root_ctx = (run.tree.root, run.tree.full_index(run.tree.root))
-    for entry in sorted(entries):
-        if not entry.intersects(params.lower, params.upper):
-            continue
-        found = walk.first(walk.frame(root_ctx, k, entry.lo, entry.hi, params.lower, params.upper))
-        if found is not None:
-            return canonicalize_partition(run.graph, _cut_edges(found[1]))
+    t_lo, t_hi, k = (None, None, params.num_clusters) if target is None else target
+    for lo, hi in sorted(run.root_state.get(k, ())):
+        if (target is None or (lo, hi) == (t_lo, t_hi)) and lo <= params.upper and hi >= params.lower:
+            root_ctx = (run.tree.root, run.tree.full_index(run.tree.root))
+            task = (root_ctx, k, lo, hi, params.lower, params.upper)
+            return canonicalize_partition(run.graph, _cut_edges(_interval_witness(run, task)[1]))
     raise WitnessNotFoundError("no feasible root interval to reconstruct")

@@ -53,13 +53,14 @@ optimisation variants.  The bitmask and interval states keep no records:
 ``backtrack`` reads a witness out of them by walking the tree top-down.
 :class:`ContextMap` is the one inverse of the traversal that both walks
 use: it names every partial state, including the joined states and chain
-states inside a cycle configuration, and hands out the two states and
-the edge each was combined from, refolding only the configurations a
-walk passes through.  ``TupleAlgebra``, a recorded algebra whose entries
-remember one witness combination each, stays here as the reference the
-tests compare the tuple-set witnesses with.  The deciders answer "no"
-without building a tree when :func:`trivially_infeasible` finds a
-reason, such as a total weight no ``p`` clusters in the window can make.
+states inside a cycle configuration, which ``annotate``'s run keeps for
+the configurations a walk may enter, and hands out the two states and
+the edge each was combined from.  ``TupleAlgebra``, a recorded algebra
+whose entries remember one witness combination each, stays here as the
+reference the tests compare the tuple-set witnesses with.  The deciders
+answer "no" without building a tree when :func:`trivially_infeasible`
+finds a reason, such as a total weight no ``p`` clusters in the window
+can make.
 
 The deciders read the root's state alone, so their runs keep only the
 DP frontier, and a decide's memory follows that frontier, not the tree
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvalidParamsError, WeightExceedsUpperError
+from .errors import InvalidParamsError, WeightExceedsUpperError, WitnessNotFoundError
 from .graph_model import CactusGraph, edge_key
 from .tree_rep import CactusTree, absent_cycle_edge, as_tree, graph_of
 
@@ -131,7 +132,7 @@ def trivially_infeasible(graph: CactusGraph, params: ProblemParams) -> str | Non
 # shared traversal
 
 
-def run_tree_dp(tree, alg, config_sink=None, *, frontier=False):
+def run_tree_dp(tree, alg, config_sink=None, *, frontier=False, fold_sink=None):
     """Fold ``alg`` bottom-up over the tree, returning its partial states.
 
     The result maps ``(v, i)`` to the algebra state of the subtree made of
@@ -142,9 +143,11 @@ def run_tree_dp(tree, alg, config_sink=None, *, frontier=False):
     once it is combined into its parent or folded into its cycle: the run
     holds only the states still to be combined, and the result holds the
     root's context alone, with the same state.
-    ``config_sink``, when given, is filled with the per-configuration
-    states of every cycle, keyed by ``(cycle, j)``, for the configurations
-    ``1..cycle_cutoff(alg, cycle)`` that the run folds.
+    ``config_sink`` gets the state of each configuration the run folds,
+    ``1..cycle_cutoff(alg, cycle)``, keyed ``(cycle, j)``.  ``fold_sink``
+    is called at each cycle with its tree context ``(v, i)`` and returns
+    the ``keep`` that :func:`_fold_configurations` hands each of its
+    configurations as it is folded.
     """
     sets = {}
     take = sets.pop if frontier else sets.__getitem__
@@ -158,11 +161,12 @@ def run_tree_dp(tree, alg, config_sink=None, *, frontier=False):
             cyc = tree.cycle_at.get((v, idx))
             if cyc is not None:  # the union of configurations 1..J
                 js = range(1, cycle_cutoff(alg, cyc) + 1)
-                owns = cycle_node_states(tree, sets, cyc)
+                owns = [None] + [sets[(node, tree.full_index(node))] for node in cyc.path[1:]]
                 if frontier:
                     for node in cyc.path[1:]:
                         del sets[(node, tree.full_index(node))]
-                configs = _fold_configurations(alg, cyc, js, owns, state, alg.combine)
+                keep = None if fold_sink is None else fold_sink((v, idx))
+                configs = _fold_configurations(alg, cyc, js, owns, state, keep)
                 if config_sink is not None:
                     config_sink.update(((cyc, j), config) for j, _step, config in configs)
                 state = alg.union_configs(configs, cyc)
@@ -195,16 +199,7 @@ def cycle_cutoff(alg, cyc):
     return m - 1
 
 
-def cycle_node_states(tree, sets, cyc):
-    """Full subtree states of the cycle's path nodes, by path position.
-
-    Position 0, the start node, is None: its state is what the cycle is
-    being folded into.
-    """
-    return [None] + [sets[(node, tree.full_index(node))] for node in cyc.path[1:]]
-
-
-def _fold_configurations(alg, cyc, js, owns, start_state, combine, walk=False):
+def _fold_configurations(alg, cyc, js, owns, start_state, keep=None):
     """Fold configurations ``js`` of ``cyc``: the package's one fold loop.
 
     In configuration j the cycle path splits in two chains, each folded
@@ -214,26 +209,24 @@ def _fold_configurations(alg, cyc, js, owns, start_state, combine, walk=False):
     nodes of the absent edge; algebras that charge it (capacities) mark
     them via ``lift(..., charged=True)``.  The chain tops are then joined
     into the lifted start state, through the edge to the first path child
-    and through the closing edge.  ``owns`` comes from
-    :func:`cycle_node_states`; ``combine`` is the algebra's combine or a
-    function with its signature.
+    and through the closing edge.  ``owns[i]`` is the full state of the
+    path node at position i (None for the start node).
 
     Returns ``(j, step, state)`` per configuration, its state joined and
-    stripped.  With ``walk``, returns ``(joined, chains)`` per
-    configuration instead, without the last join, which the witness walks
-    do not read.  ``chains`` lists ``(edge, positions, states)`` in joining
-    order: ``edge`` joins the chain top to the start node, ``positions``
-    are the chain's path positions from the bottom up, and ``states[t]``
-    is the chain folded up to ``positions[t]``.  ``joined[n]`` is the
-    state chain n is joined into; joining the last chain into
-    ``joined[-1]`` and stripping the result gives the configuration's
-    state.
+    stripped.  ``keep``, when given, gets ``(j, joined, chains)`` as each
+    configuration is folded, so what it does not keep is freed at once.
+    ``chains`` lists ``(edge, positions, states)`` in joining order:
+    ``edge`` joins the chain top to the start node, ``positions`` are the
+    chain's path positions from the bottom up, and ``states[t]`` is the
+    chain folded up to ``positions[t]``.  ``joined[0]`` is the lifted start
+    state and ``joined[n]`` the state after chain n - 1 has joined it.
     """
     ws = cyc.path
     m = len(ws)
     edges = [edge_key(ws[i], ws[i + 1]) for i in range(m - 1)]  # edges[i]: positions i, i + 1
     closing = cyc.closing_edge
     lifts = type(alg).lift is not IdentityLift.lift
+    combine = alg.combine
     out = []
     for j in js:
         step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
@@ -247,20 +240,17 @@ def _fold_configurations(alg, cyc, js, owns, start_state, combine, walk=False):
             states = [own[low]]
             for i in range(low - 1, 0, -1):
                 states.append(combine(own[i], states[-1], edges[i], step))
-            if walk:
-                chains.append((edges[0], range(low, 0, -1), states))
-            if not walk or high < m:  # a walk stops before the last join
-                joined.append(combine(state, states[-1], edges[0], step))
+            chains.append((edges[0], range(low, 0, -1), states))
+            joined.append(combine(state, states[-1], edges[0], step))
         if high < m:  # the reversed tail off the closing edge, bottom up
             states = [own[high]]
             for i in range(high + 1, m):
                 states.append(combine(own[i], states[-1], edges[i - 1], step))
-            if walk:
-                chains.append((closing, range(high, m), states))
-            else:
-                joined.append(combine(joined[-1], states[-1], closing, step))
-        state = alg.strip(joined[-1], step) if lifts and not walk else joined[-1]
-        out.append((joined, chains) if walk else (j, step, state))
+            chains.append((closing, range(high, m), states))
+            joined.append(combine(joined[-1], states[-1], closing, step))
+        if keep is not None:
+            keep(j, joined, chains)
+        out.append((j, step, alg.strip(joined[-1], step) if lifts else joined[-1]))
     return out
 
 
@@ -271,36 +261,31 @@ class ContextMap:
     :func:`run_tree_dp`), ``(start, j, n)`` for the start node's state
     after configuration ``j`` of the cycle at tree context ``start`` has
     joined ``n`` chains (``n`` None: all of them, the configuration's
-    state before ``strip``), and ``(start, j, n, t)`` for chain ``n`` of
-    that configuration folded up to its ``t``-th node.  Contexts that
-    alias a tree state (a chain's bottom, the start state before any join)
-    are named by the tree context.  :meth:`parts` inverts every context
-    but a leaf ``(v, 0)`` and a cycle's start, whose state is the union of
+    state), and ``(start, j, n, t)`` for chain ``n`` of that configuration
+    folded up to its ``t``-th node.  Contexts that alias a tree state (a
+    chain's bottom, the start state before any join) are named by the tree
+    context.  :meth:`parts` inverts every context but a leaf ``(v, 0)``
+    and a cycle's start, whose state is the union of
     :meth:`config_states`, the configurations 1..J the run folded
-    (:func:`cycle_cutoff`).  A configuration is refolded through
-    ``alg.join_states`` once, when first asked for, without its final
-    join; ``lift`` must be the identity.
+    (:func:`cycle_cutoff`).  Nothing is recomputed: ``folds`` maps each
+    cycle's start context to ``(states, kept)``, lists in order of ``j``:
+    the configurations' states, and the ``(joined, chains)`` that
+    :func:`_fold_configurations` gave for each, or None for one no walk
+    enters.  ``lift`` and ``strip`` must be the identity.
     """
 
-    def __init__(self, tree: CactusTree, alg, states, configs):
+    def __init__(self, tree: CactusTree, states, folds):
         self.tree = tree
-        self.alg = alg
         self.states = states
-        self.configs = configs  # the run's config_sink
-        self.full = {v: (v, tree.full_index(v)) for v in tree.children}
-        # keyed by the start context: a CycleRecord hashes its whole path
-        self._config_states: dict = {}  # start context -> states of configurations 1..J
-        self._folds: dict = {}  # (start context, j) -> (cycle, joined, chains)
+        self.folds = folds
+
+    def full(self, v):
+        """The context of ``v``'s full subtree state."""
+        return v, self.tree.full_index(v)
 
     def config_states(self, start):
-        """States of configurations 1..J of the cycle at ``start``, J its
-        :func:`cycle_cutoff`: the ones the run folded and unioned."""
-        found = self._config_states.get(start)
-        if found is None:
-            cyc = self.tree.cycle_at[start]
-            found = [self.configs[(cyc, j)] for j in range(1, cycle_cutoff(self.alg, cyc) + 1)]
-            self._config_states[start] = found
-        return found
+        """``(j, state)`` of configurations 1..J of the cycle at ``start``."""
+        return list(enumerate(self.folds[start][0], 1))
 
     def parts(self, ctx):
         """``(a_ctx, a, b_ctx, b, edge)`` of the combination that made ``ctx``.
@@ -310,19 +295,15 @@ class ContextMap:
         """
         if len(ctx) == 2:
             v, i = ctx
-            child = self.full[self.tree.children[v][i - 1]]
+            child = self.full(self.tree.children[v][i - 1])
             edge = edge_key(v, child[0])
             return (v, i - 1), self.states[(v, i - 1)], child, self.states[child], edge
         start, j, n = ctx[:3]
-        folded = self._folds.get((start, j))
-        if folded is None:
-            cyc = self.tree.cycle_at[start]
-            owns = cycle_node_states(self.tree, self.states, cyc)
-            start_state = self.states[(start[0], start[1] - 1)]
-            folded = self._folds[(start, j)] = (cyc,) + _fold_configurations(
-                self.alg, cyc, (j,), owns, start_state, self.alg.join_states, walk=True
-            )[0]
-        cyc, joined, chains = folded
+        fold = self.folds[start][1][j - 1]
+        if fold is None:
+            raise WitnessNotFoundError(f"configuration {j} at {start!r} was not kept")
+        joined, chains = fold
+        path = self.tree.cycle_at[start].path
         if len(ctx) == 3:  # chain c's top joined into the start state
             c = len(chains) - 1 if n is None else n - 1
             edge, positions, chain = chains[c]
@@ -331,11 +312,11 @@ class ContextMap:
         else:  # the t-th node of chain c joined to the chain below it
             c, t = n, ctx[3]
             _edge, positions, chain = chains[c]
-            node = cyc.path[positions[t]]
-            a_ctx = self.full[node]
+            node = path[positions[t]]
+            a_ctx = self.full(node)
             a = self.states[a_ctx]
-            edge = edge_key(node, cyc.path[positions[t - 1]])
-        b_ctx = self.full[cyc.path[positions[0]]] if t == 1 else (start, j, c, t - 1)
+            edge = edge_key(node, path[positions[t - 1]])
+        b_ctx = self.full(path[positions[0]]) if t == 1 else (start, j, c, t - 1)
         return a_ctx, a, b_ctx, chain[t - 1], edge
 
 
@@ -447,11 +428,6 @@ class MaskAlgebra(IdentityLift):
                 if acc:
                     out[k] = out.get(k, 0) | acc
         return out
-
-    # The same function under a second name, for the witness walk, which
-    # combines outside any DP run: wrappers installed on ``combine`` (the
-    # per-run combine counters of perfbench's tracer) do not see its calls.
-    join_states = combine
 
     def union_configs(self, configs, cycle):
         out: dict[int, int] = {}

@@ -145,11 +145,6 @@ class IntervalAlgebra(IdentityLift):
                         raw.setdefault(k - 1, []).extend(sums)
         return self._merged(raw)
 
-    # The same function under a second name, for the witness walk, which
-    # combines outside any DP run: wrappers installed on ``combine`` (the
-    # per-run combine counters of perfbench's tracer) do not see its calls.
-    join_states = combine
-
     def union_configs(self, configs, cycle):
         raw: dict[int, list[Interval]] = {}
         for _j, _step, state in configs:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import operator
 
-from .backtrack import annotate, collect_cuts, reconstruct
+from .backtrack import _engine, annotate, collect_cuts, reconstruct
 from .dp_core import (
     IdentityLift,
     ProblemParams,
@@ -124,6 +124,7 @@ def max_partition(graph, lower, upper, root=None, algorithm="interval", stats=No
 
 
 def _extreme_partition(graph, lower, upper, root, algorithm, minimize, stats=None):
+    _engine(algorithm)  # an unknown engine is an error, also when answered early
     source, graph = graph, graph_of(graph, root)
     params = ProblemParams(lower, upper, graph.num_vertices)
     if graph.max_weight > upper:  # n is a cap: the count bounds do not apply
@@ -135,8 +136,7 @@ def _extreme_partition(graph, lower, upper, root, algorithm, minimize, stats=Non
         return None
     count = min(feasible) if minimize else max(feasible)
     # the count-cap-n states hold every smaller count's states unchanged
-    run.params = ProblemParams(lower, upper, count)
-    return count, reconstruct(run)
+    return count, reconstruct(run._replace(params=ProblemParams(lower, upper, count)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ to compare the package with:
   as tuple sets, the last two over every configuration 1..m-1 of a
   cycle, past its cutoff too; ``configuration_state`` and
   ``fold_configuration`` fold one configuration through the package's
-  fold loop;
+  fold loop, and ``keep_every_fold`` keeps every configuration's fold
+  of a run for a ``ContextMap``;
 - ``configuration_edges`` names the tree edge a configuration removes
   and the cycle edge it adds;
 - ``connected_partitions_grown`` enumerates partitions a second way, to
@@ -21,13 +22,13 @@ to compare the package with:
 
 from __future__ import annotations
 
+from cactus_partition.backtrack import _keeper
 from cactus_partition.dp_core import (
     MaskAlgebra,
     ProblemParams,
     _check_leaf_weights,
     _fold_configurations,
     _mask_state_to_set,
-    cycle_node_states,
     run_tree_dp,
 )
 from cactus_partition.errors import WeightExceedsUpperError
@@ -37,15 +38,30 @@ from cactus_partition.oracle import PartitionCatalog
 from cactus_partition.tree_rep import CactusTree, CycleRecord
 
 
+def cycle_node_states(tree, sets, cyc):
+    """Full subtree states of the cycle's path nodes by path position, as
+    ``run_tree_dp`` folds them; position 0, the start node, is None."""
+    return [None] + [sets[(node, tree.full_index(node))] for node in cyc.path[1:]]
+
+
 def configuration_state(alg, cyc, j, owns, start_state):
     """``(step, state)`` of configuration ``j`` (:func:`_fold_configurations`)."""
-    return _fold_configurations(alg, cyc, (j,), owns, start_state, alg.combine)[0][1:]
+    return _fold_configurations(alg, cyc, (j,), owns, start_state)[0][1:]
 
 
-def fold_configuration(alg, step, owns, start_state, combine):
+def fold_configuration(alg, step, owns, start_state):
     """``(joined, chains)`` of configuration ``step.j``, before its last
     join (see :func:`_fold_configurations`)."""
-    return _fold_configurations(alg, step.cycle, (step.j,), owns, start_state, combine, True)[0]
+    folds = []
+    _fold_configurations(alg, step.cycle, (step.j,), owns, start_state,
+                         lambda _j, joined, chains: folds.append((joined[:-1], chains)))
+    return folds[0]
+
+
+def keep_every_fold(folds: dict):
+    """A ``run_tree_dp`` ``fold_sink`` putting every configuration's state
+    and fold in ``folds``, keyed by the cycle's start context."""
+    return _keeper(lambda: lambda _state: True, folds)
 
 
 def oplus(a, b, params: ProblemParams):

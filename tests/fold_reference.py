@@ -14,9 +14,11 @@ chain lists.
 
 from __future__ import annotations
 
-from cactus_partition.dp_core import CycleStep, cycle_cutoff, cycle_node_states
+from cactus_partition.dp_core import CycleStep, cycle_cutoff
 from cactus_partition.graph_model import edge_key
 from cactus_partition.tree_rep import absent_cycle_edge
+
+from dp_reference import cycle_node_states
 
 
 def run_tree_dp(tree, alg, config_sink=None):

@@ -39,14 +39,13 @@ from cactus_partition import (
 from cactus_partition.dp_core import (
     CycleStep,
     MaskAlgebra,
-    cycle_node_states,
     run_tree_dp,
 )
 from cactus_partition.errors import IntervalCountError
 from cactus_partition.interval_dp import interval_subtree_sets
 from cactus_partition.tree_rep import absent_cycle_edge
 
-from dp_reference import fold_configuration, intervals_of, subtree_sets
+from dp_reference import cycle_node_states, fold_configuration, intervals_of, subtree_sets
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -337,7 +336,7 @@ def test_criterion_6_last_configuration_is_redundant():
             step = CycleStep(cyc, m, absent_cycle_edge(cyc, m))
             start_state = states[(cyc.start, cyc.start_child_index - 1)]
             joined, chains = fold_configuration(
-                alg, step, cycle_node_states(tree, states, cyc), start_state, alg.combine
+                alg, step, cycle_node_states(tree, states, cyc), start_state
             )
             edge, _positions, top = chains[-1]
             extra = alg.strip(alg.combine(joined[-1], top[-1], edge, step), step)

@@ -15,11 +15,20 @@ from cactus_partition import (
     min_partition,
     reconstruct,
 )
-from cactus_partition.backtrack import collect_cuts
+from cactus_partition import dp_core
+from cactus_partition.backtrack import (
+    AnnotatedRun,
+    _interval_entered,
+    _keeper,
+    _mask_entered,
+    collect_cuts,
+)
 from cactus_partition.dp_core import MaskAlgebra, TupleAlgebra, run_tree_dp
 from cactus_partition.errors import WitnessNotFoundError
-from cactus_partition.interval_dp import IntervalAlgebra
+from cactus_partition.interval_dp import IEntry, IntervalAlgebra
 
+import interval_reference
+from dp_reference import keep_every_fold
 from interval_reference import recorded_states, recorded_witness
 from util import graph_from, path, random_graph, triangle
 
@@ -167,7 +176,7 @@ def test_every_root_interval_reconstructs_at_its_count():
         upper = max(lower + rng.randint(0, 7), g.max_weight)
         run = annotate(g, ProblemParams(lower, upper, g.num_vertices), "interval")
         lowered = annotate(g, ProblemParams(lower, upper, g.num_vertices), "interval")
-        lowered.params = ProblemParams(lower, upper, 1)
+        lowered = lowered._replace(params=ProblemParams(lower, upper, 1))
         for k, entries in run.root_state.items():
             for entry in entries:
                 if not entry.intersects(lower, upper):
@@ -195,9 +204,12 @@ def test_deep_path_reconstructs_iteratively(algorithm):
     assert part.num_clusters == 300 and set(part.weights) == {10}
 
 
+def _plain_state(state):
+    return {k: tuple((e.lo, e.hi) for e in ents) for k, ents in state.items()}
+
+
 def _plain(states):
-    return {ctx: {k: tuple((e.lo, e.hi) for e in ents) for k, ents in st.items()}
-            for ctx, st in states.items()}
+    return {ctx: _plain_state(st) for ctx, st in states.items()}
 
 
 def test_interval_walk_matches_recorded_search():
@@ -233,11 +245,139 @@ def test_interval_walk_matches_recorded_search():
     assert solved >= 300 and extremes >= 1000 and cyclic >= 500
 
 
+class _Raised(interval_reference.IntervalAlgebra):
+    """The recorded interval algebra, except that across every tree edge
+    the last run of every count is raised by ``delta`` at its upper end.
+    A raised run claims weights no raw combination makes, which breaks
+    the endpoint contract, so a walk over it can meet a candidate with no
+    realisation.  The raised entry wraps the true one as its only
+    constituent, as a merge group would."""
+
+    def __init__(self, graph, params, delta):
+        super().__init__(graph, params)
+        self.delta = delta
+
+    def combine(self, a, b, edge, step):
+        out = super().combine(a, b, edge, step)
+        if step is not None:
+            return out
+        return {
+            k: ents[:-1] + (type(ents[-1])(ents[-1].lo, ents[-1].hi + self.delta, (("sub", ents[-1]),)),)
+            for k, ents in out.items()
+        }
+
+
+def _plain_entered():
+    """``annotate``'s rule for the interval folds it keeps, over recorded states."""
+    holds_new = _interval_entered()
+    return lambda state: holds_new(_plain_state(state))
+
+
+def test_a_state_breaking_the_contract_raises():
+    """The walk never backs up: on the engine's own states each context's
+    first candidate has a realisation (``backtrack``'s docstring).  States
+    recorded over a raised run (:class:`_Raised`) break that, with the
+    configurations kept as ``annotate`` keeps them; a walk over their plain
+    intervals gives the recorded search's witness or raises
+    ``WitnessNotFoundError``, also where backing up would have found one,
+    and never gives another partition."""
+    rng = random.Random(0x2E5)
+    returned = raised = hidden = 0
+    for seed in range(800):
+        g = random_graph(seed, n=rng.randint(3, 12), cycle_density=rng.choice((0.0, 0.3, 0.6)))
+        lower = rng.randint(0, 6)
+        upper = max(lower + rng.randint(0, 6), g.max_weight)
+        tree = build_tree(g)
+        counts = annotate(tree, ProblemParams(lower, upper, g.num_vertices), "interval")
+        params = ProblemParams(lower, upper, rng.choice(sorted(counts.feasible_counts()) or [1]))
+        configs: dict = {}
+        folds: dict = {}
+        recorded = run_tree_dp(tree, _Raised(g, params, rng.randint(1, 8)), configs,
+                               fold_sink=_keeper(_plain_entered, folds))
+        root = recorded[(tree.root, tree.full_index(tree.root))]
+        plain_folds = {
+            start: ([_plain_state(state) for state in states], [fold and (
+                [_plain_state(s) for s in fold[0]],
+                [(edge, positions, [_plain_state(s) for s in chain]) for edge, positions, chain in fold[1]],
+            ) for fold in kept])
+            for start, (states, kept) in folds.items()
+        }
+        run = AnnotatedRun(
+            tree, params, "interval", _plain(recorded),
+            {k: tuple(IEntry(e.lo, e.hi) for e in ents) for k, ents in root.items()},
+            _plain(configs), plain_folds,
+        )
+        try:
+            want = recorded_witness(g, root, params)
+        except WitnessNotFoundError:
+            want = None
+        try:
+            got = reconstruct(run)
+        except WitnessNotFoundError:
+            raised += 1
+            hidden += want is not None
+            continue
+        assert got == want, seed
+        returned += 1
+    assert returned >= 400 and raised >= 100 and hidden >= 15, (returned, raised, hidden)
+
+
+def test_keep_rules_on_hand_built_configuration_states():
+    """The rules see a cycle's configuration states in order of j.  The
+    mask rule keeps one holding a tuple no lower one holds; the interval
+    rule drops one only when a lower one holds each of its intervals or
+    covers it with a lower start.  Runs of two or more intervals per count
+    are rare in seeded runs, so they are built here."""
+    holds_new = _mask_entered()
+    assert [holds_new(state) for state in (
+        {1: 0b101}, {1: 0b001}, {1: 0b010}, {2: 0b1}, {1: 0b111, 2: 0b1},
+    )] == [True, False, True, True, False]
+    holds_new = _interval_entered()
+    assert [holds_new(state) for state in (
+        {1: ((2, 5),)},
+        {1: ((2, 5),)},  # held
+        {1: ((3, 4),)},  # covered by (2, 5), which comes first in its group
+        {1: ((2, 6),)},  # (2, 5) comes first but stops below 6
+        {1: ((2, 5), (9, 9))},  # a new run behind a held one
+        {2: ((0, 0),)},  # a new count
+        {1: ((9, 9),), 2: ((0, 0),)},
+    )] == [True, False, False, True, True, True, False]
+
+
+@pytest.mark.parametrize("algorithm", ["tupleset", "interval"])
+def test_walks_enter_only_the_configurations_annotate_keeps(algorithm):
+    """``annotate`` keeps the fold of only the configurations a walk may
+    enter, and a walk entering another raises.  Every root target gives
+    the witness it gives with every configuration's fold kept."""
+    targets = dropped = 0
+    for seed in range(60):
+        g = random_graph(seed, n=14, cycle_density=0.9)
+        lower = seed % 4
+        for upper in (max(lower + 3, g.max_weight), max(lower + 9, g.max_weight)):
+            params = ProblemParams(lower, upper, g.num_vertices)
+            run = annotate(g, params, algorithm)
+            folds: dict = {}
+            algebra = MaskAlgebra if algorithm == "tupleset" else IntervalAlgebra
+            run_tree_dp(run.tree, algebra(g, params), fold_sink=keep_every_fold(folds))
+            full = run._replace(folds=folds)
+            dropped += sum(fold is None for _states, kept in run.folds.values() for fold in kept)
+            if algorithm == "tupleset":
+                keys = [(x, k) for x, k in run.root_state if lower <= x <= upper]
+            else:
+                keys = [(e.lo, e.hi, k) for k, ents in run.root_state.items()
+                        for e in ents if e.intersects(lower, upper)]
+            for key in keys:
+                k = key[-1]
+                assert reconstruct(run._replace(params=params._replace(num_clusters=k)), key) == \
+                    reconstruct(full._replace(params=params._replace(num_clusters=k)), key)
+                targets += 1
+    assert targets >= 500 and dropped >= 100, (targets, dropped)
+
+
 @pytest.mark.parametrize("algorithm", ["tupleset", "interval"])
 def test_witness_reads_add_no_combine(algorithm, monkeypatch):
     """Witnesses come out of the annotated states: after ``annotate`` no
-    algebra ``combine`` runs (the walk refolds cycles through
-    ``join_states``)."""
+    algebra ``combine`` runs."""
     calls = []
     for cls in (MaskAlgebra, IntervalAlgebra):
         def counted(self, a, b, edge, step, _combine=cls.combine):
@@ -269,21 +409,30 @@ def test_witness_reads_add_no_combine(algorithm, monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["tupleset", "interval"])
-def test_witness_refold_skips_the_final_join(algorithm, monkeypatch):
-    """A witness walk reads every joined state but the configuration's
-    last, so refolding one configuration of an m-cycle joins m - 2 times."""
+def test_witness_walk_calls_no_combine_and_no_fold(algorithm, monkeypatch):
+    """A witness walk reads the joined and chain states ``annotate`` kept:
+    after the run it calls neither an algebra's ``combine`` nor the fold,
+    also inside the configurations of a cycle and at a lowered count."""
     m = 10
     g = graph_from({f"r{i}": 1 for i in range(m)}, [(f"r{i}", f"r{(i + 1) % m}") for i in range(m)])
     calls = []
-    for cls in (MaskAlgebra, IntervalAlgebra):
-        def counted(self, a, b, edge, step, _join=cls.join_states):
-            calls.append(step.j)
-            return _join(self, a, b, edge, step)
 
-        monkeypatch.setattr(cls, "join_states", counted)
-    run = annotate(g, ProblemParams(2, 2, 5), algorithm)
-    assert reconstruct(run).num_clusters == 5
-    assert len(calls) == m - 2 and len(set(calls)) == 1
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (MaskAlgebra, IntervalAlgebra):
+        monkeypatch.setattr(cls, "combine", counted("combine", cls.combine))
+    monkeypatch.setattr(dp_core, "_fold_configurations", counted("fold", dp_core._fold_configurations))
+    for p in (5, m):  # the run's own count, and a cap lowered to 5
+        run = annotate(g, ProblemParams(2, 2, p), algorithm)
+        assert calls.count("fold") == 1 and "combine" in calls
+        del calls[:]
+        assert reconstruct(run._replace(params=ProblemParams(2, 2, 5))).num_clusters == 5
+        assert calls == []
 
 
 def test_feasible_counts_agree_across_engines():

@@ -21,7 +21,6 @@ from cactus_partition.dp_core import (
     CycleStep,
     MaskAlgebra,
     TupleAlgebra,
-    cycle_node_states,
     run_tree_dp,
 )
 from cactus_partition.tree_rep import absent_cycle_edge
@@ -30,6 +29,7 @@ from dp_reference import (
     configuration_state,
     cycle_config_set,
     cycle_config_sets,
+    cycle_node_states,
     fold_configuration,
     root_set,
 )
@@ -155,7 +155,7 @@ def test_cycle_config_sets_hold_every_configuration():
     owns, before, _union = _around(tree, run_tree_dp(tree, ref), cyc)
     for j, tuples in sets.items():
         step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
-        joined, chains = fold_configuration(ref, step, owns, before, ref.combine)
+        joined, chains = fold_configuration(ref, step, owns, before)
         edge, _positions, top = chains[-1]
         assert tuples == ref.combine(joined[-1], top[-1], edge, step).keys(), j
     assert cycle_config_set(tree, params, cyc, cyc.length - 1) == sets[cyc.length - 1]

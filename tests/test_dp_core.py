@@ -22,6 +22,7 @@ from cactus_partition.tree_rep import absent_cycle_edge
 
 from dp_reference import (
     cycle_config_set,
+    keep_every_fold,
     leaf_set,
     oplus,
     oracle_root_tuples,
@@ -214,17 +215,19 @@ def test_context_map_parts_rebuild_the_stored_states(algebra):
         tree = build_tree(g)
         alg = algebra(g, ProblemParams(2, 7, g.num_vertices))
         configs: dict = {}
-        states = run_tree_dp(tree, alg, config_sink=configs)
-        contexts = ContextMap(tree, alg, states, configs)
+        folds: dict = {}
+        states = run_tree_dp(tree, alg, config_sink=configs, fold_sink=keep_every_fold(folds))
+        contexts = ContextMap(tree, states, folds)
         for ctx, want in states.items():
             if ctx[1] == 0 or ctx in tree.cycle_at:
                 continue
             a_ctx, a, b_ctx, b, edge = contexts.parts(ctx)
             assert (a, b) == (states[a_ctx], states[b_ctx])
-            assert alg.join_states(a, b, edge, None) == want
+            assert alg.combine(a, b, edge, None) == want
         for start, cyc in tree.cycle_at.items():
-            wants = contexts.config_states(start)
+            wants = [state for _j, state in contexts.config_states(start)]
             assert len(wants) == arc_cutoff(cyc, g.weight, 7)
+            assert wants == [configs[(cyc, j)] for j in range(1, len(wants) + 1)]
             steps = [CycleStep(cyc, j, absent_cycle_edge(cyc, j)) for j in range(1, len(wants) + 1)]
             union = alg.union_configs([(s.j, s, w) for s, w in zip(steps, wants)], cyc)
             assert union == states[start]
@@ -233,7 +236,7 @@ def test_context_map_parts_rebuild_the_stored_states(algebra):
                 while pending:
                     ctx, want = pending.pop()
                     a_ctx, a, b_ctx, b, edge = contexts.parts(ctx)
-                    got = alg.join_states(a, b, edge, step)
+                    got = alg.combine(a, b, edge, step)
                     if ctx[2:] == (None,):
                         got = alg.strip(got, step)
                     assert got == want, ctx

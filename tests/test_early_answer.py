@@ -16,6 +16,7 @@ import pytest
 
 from cactus_partition import (
     ProblemParams,
+    annotate,
     build_tree,
     capacity_partition,
     decide_p_partition,
@@ -148,6 +149,23 @@ def test_a_bad_root_raises_before_an_early_answer(entry):
     with pytest.raises(ValueError, match="root 'zz' is not a vertex"):
         solve(g, "zz")
     assert not solve(build_tree(g), "zz")  # a tree keeps its own root
+
+
+# An unknown engine on ``path([2, 5, 2])``, with u = 4 (a vertex outweighs
+# it: an early answer, or for annotate an error of its own) and with u = 9
+# (the DP runs).
+UNKNOWN_ENGINE = {
+    "annotate": lambda g, upper: annotate(g, ProblemParams(0, upper, 2), "bogus"),
+    "min": lambda g, upper: min_partition(g, 0, upper, algorithm="bogus"),
+    "max": lambda g, upper: max_partition(g, 0, upper, algorithm="bogus"),
+}
+
+
+@pytest.mark.parametrize("upper", [4, 9], ids=["early-answer", "dp"])
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_ENGINE))
+def test_an_unknown_algorithm_raises_before_an_early_answer(entry, upper):
+    with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+        UNKNOWN_ENGINE[entry](path([2, 5, 2]), upper)
 
 
 def test_the_sum_bound_never_rejects_a_feasible_count():

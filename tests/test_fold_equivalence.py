@@ -20,14 +20,13 @@ from cactus_partition.dp_core import (
     CycleStep,
     MaskAlgebra,
     TupleAlgebra,
-    cycle_node_states,
     run_tree_dp,
 )
 from cactus_partition.interval_dp import IntervalAlgebra
 from cactus_partition.tree_rep import absent_cycle_edge
 from cactus_partition.variants import CapacityAlgebra, CostAlgebra, SizeWeightAlgebra
 
-from dp_reference import configuration_state, fold_configuration
+from dp_reference import configuration_state, cycle_node_states, fold_configuration
 from util import random_graph, rings_and_necklaces
 
 ALGEBRAS = ("mask", "interval", "tuple", "cost", "sizeweight", "capacity")
@@ -134,7 +133,7 @@ def test_one_pass_fold_matches_the_per_configuration_fold(name, monkeypatch):
                 assert step == ref_step and _plain(state) == _plain(ref_state), (where, j)
                 step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
                 _same_fold(
-                    fold_configuration(alg, step, owns, before, alg.combine),
+                    fold_configuration(alg, step, owns, before),
                     ref.fold_configuration(alg, step, owns, before, alg.combine),
                     (where, j),
                 )

@@ -172,13 +172,17 @@ def test_problem_params_reject_bad_input(args):
         ProblemParams(*args)
 
 
-def test_annotated_run_stays_a_mutable_record():
+def test_annotated_run_is_an_immutable_record():
     g = validate_cactus(SMALL)
     run = cp.annotate(g, ProblemParams(1, 4, 2))
     again = cp.annotate(g, ProblemParams(1, 4, 2))
     assert run == again and repr(run) == repr(again)
     assert repr(run).startswith("AnnotatedRun(tree=CactusTree(")
     with pytest.raises(TypeError):
-        hash(run)
-    run.params = ProblemParams(1, 4, 3)
-    assert run != again
+        hash(run)  # its states are dicts
+    with pytest.raises(AttributeError):
+        run.params = ProblemParams(1, 4, 3)
+    with pytest.raises(AttributeError):
+        run.extra = None
+    lowered = run._replace(params=ProblemParams(1, 4, 1))
+    assert lowered != run and lowered.states is run.states and run == again

@@ -18,12 +18,11 @@ from cactus_partition import build_tree, variants
 from cactus_partition.backtrack import collect_cuts
 from cactus_partition.dp_core import (
     CycleStep,
-    cycle_node_states,
     run_tree_dp,
 )
 from cactus_partition.tree_rep import absent_cycle_edge
 
-from dp_reference import fold_configuration
+from dp_reference import cycle_node_states, fold_configuration
 from util import random_graph
 
 INSTANCES = 1000
@@ -90,7 +89,7 @@ def _cycle_folds(tree, alg, states):
         start_state = states[(cyc.start, cyc.start_child_index - 1)]
         for j in range(1, cyc.length):
             step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
-            joined, chains = fold_configuration(alg, step, owns, start_state, alg.combine)
+            joined, chains = fold_configuration(alg, step, owns, start_state)
             yield from joined
             for _edge, _positions, chain in chains:
                 yield from chain

@@ -68,12 +68,11 @@ from .tree_rep import CactusTree, absent_cycle_edge, as_tree
 
 
 class AnnotatedRun(namedtuple(
-    "AnnotatedRun", "tree params algorithm states root_state configs folds"
+    "AnnotatedRun", "tree params algorithm states root_state folds"
 )):
     """A solver run kept for backtracking, immutable.
 
     ``states`` holds every partial state (bitmasks or plain intervals),
-    ``configs`` each folded configuration's state keyed ``(cycle, j)``,
     ``folds`` per cycle start its configurations' states and the folds a
     walk may enter (:class:`ContextMap`), and ``root_state`` the root's
     ``(x, k)`` tuples or, per count, its :class:`IEntry` intervals.  The
@@ -118,14 +117,14 @@ def annotate(
     algebra, rule = _engine(algorithm)
     tree = as_tree(graph, root)
     _check_leaf_weights(tree.graph, params)
-    configs, folds = {}, {}
-    states = run_tree_dp(tree, algebra(tree.graph, params), configs, fold_sink=_keeper(rule, folds))
+    folds = {}
+    states = run_tree_dp(tree, algebra(tree.graph, params), fold_sink=_keeper(rule, folds))
     root_state = states[(tree.root, tree.full_index(tree.root))]
     if algorithm == "tupleset":
         root_state = _mask_state_to_set(root_state)
     else:
         root_state = {k: tuple(IEntry(lo, hi) for lo, hi in ivs) for k, ivs in root_state.items()}
-    return AnnotatedRun(tree, params, algorithm, states, root_state, configs, folds)
+    return AnnotatedRun(tree, params, algorithm, states, root_state, folds)
 
 
 def _keeper(rule, folds: dict):

@@ -19,10 +19,10 @@ from functools import partial
 from importlib import import_module
 
 from .backtrack import annotate, reconstruct
-from .dp_core import ProblemParams, state_cells, trivially_infeasible
+from .dp_core import _prepare, state_cells
 from .errors import GraphError, InvalidParamsError, TooLargeError
 from .graph_model import validate_cactus
-from .tree_rep import build_tree, graph_of
+from .tree_rep import build_tree
 
 
 def _load(module: str):
@@ -96,11 +96,10 @@ def _emit(document, code: int) -> int:
 
 
 def _decide(source, args, algorithm, stats, witness=False):
-    params = ProblemParams(args.l, args.u, args.p)
-    stats["reason"] = trivially_infeasible(graph_of(source), params)
+    tree, params, stats["reason"] = _prepare(source, args.root, args.l, args.u, args.p)
     if stats["reason"]:
         return None
-    run_state = annotate(source, params, algorithm, root=args.root)
+    run_state = annotate(tree, params, algorithm)
     stats["dp_cells"] = state_cells(run_state.states, algorithm)
     if params.num_clusters not in run_state.feasible_counts():
         stats["reason"] = "no partition found by the DP"
@@ -210,7 +209,7 @@ def _run_solve(args) -> int:
         return _usage_error(f"--root {args.root!r} is not a vertex of the graph")
 
     # the solver builds the tree unless the output shows it, so that an
-    # answer from trivially_infeasible builds none
+    # early answer builds none
     source = build_tree(graph, args.root) if args.dump_tree else graph
     cycles = graph.dfs[2]  # the cycle paths validation found, the same from any root
     spec = VARIANTS[args.variant]

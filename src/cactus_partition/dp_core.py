@@ -57,10 +57,10 @@ states inside a cycle configuration, which ``annotate``'s run keeps for
 the configurations a walk may enter, and hands out the two states and
 the edge each was combined from.  ``TupleAlgebra``, a recorded algebra
 whose entries remember one witness combination each, stays here as the
-reference the tests compare the tuple-set witnesses with.  The deciders
-answer "no" without building a tree when :func:`trivially_infeasible`
-finds a reason, such as a total weight no ``p`` clusters in the window
-can make.
+reference the tests compare the tuple-set witnesses with.  Every entry
+point that may answer without the DP starts with :func:`_prepare`:
+parameters, root, the reasons of :func:`trivially_infeasible` (such as
+a total weight no ``p`` clusters in the window can make), then a tree.
 
 The deciders read the root's state alone, so their runs keep only the
 DP frontier, and a decide's memory follows that frontier, not the tree
@@ -114,25 +114,56 @@ def trivially_infeasible(graph: CactusGraph, params: ProblemParams) -> str | Non
     """Why no partition into exactly ``p`` clusters exists, or None, from
     four checks: ``p`` exceeds the vertex count, a vertex outweighs
     ``upper``, ``p * lower > W`` or ``p * upper < W`` (``W`` the total
-    weight).  The last two need an exact count: a caller whose ``p`` is a
-    cap checks the vertex weights alone."""
-    p, total = params.num_clusters, graph.total_weight
+    weight).  The last two need an exact count: :func:`_prepare`, which
+    runs these checks for every entry point, drops them where ``p`` is a
+    cap."""
+    return _infeasible(graph, "weight", params, exact=True)
+
+
+def _infeasible(graph: CactusGraph, quantity: str, params: ProblemParams, exact: bool) -> str | None:
+    """:func:`trivially_infeasible` over the vertices' ``quantity``
+    ("weight" or "size"), the sum bounds only with an ``exact`` count."""
+    values = getattr(graph, quantity).values()
+    p = params.num_clusters
     if p > graph.num_vertices:
         return "more clusters requested than vertices"
-    if graph.max_weight > params.upper:
-        return "a vertex weight exceeds the upper bound"
-    if p * params.lower > total:
-        return "the clusters' lower bounds add up to more than the total weight"
-    if p * params.upper < total:
-        return "the clusters' upper bounds add up to less than the total weight"
+    if max(values) > params.upper:
+        return f"a vertex {quantity} exceeds the upper bound"
+    if exact:
+        total = sum(values)
+        if p * params.lower > total:
+            return f"the clusters' lower bounds add up to more than the total {quantity}"
+        if p * params.upper < total:
+            return f"the clusters' upper bounds add up to less than the total {quantity}"
     return None
+
+
+def _prepare(source, root, lower, upper, num_clusters=None, quantity="weight"):
+    """Check the parameters, then ``root``, then the reasons of
+    :func:`trivially_infeasible` over the vertices' ``quantity`` ("size"
+    for minmax/maxmin), and build the tree only when none applies.
+
+    With ``num_clusters`` None the vertex count is a cap, which ``params``
+    carries, and only a vertex above ``upper`` answers early: the sum
+    bounds need an exact count.  Returns ``(tree, params, reason)``, the
+    tree None when there is a reason.  ``annotate`` and
+    ``interval_subtree_sets`` answer nothing early: they raise
+    :class:`WeightExceedsUpperError` for a heavy vertex, and ``annotate``
+    takes ``p > n``.
+    """
+    params = ProblemParams(lower, upper, 1 if num_clusters is None else num_clusters)
+    graph = graph_of(source, root)
+    if num_clusters is None:
+        params = params._replace(num_clusters=graph.num_vertices)
+    reason = _infeasible(graph, quantity, params, exact=num_clusters is not None)
+    return None if reason else as_tree(source, root), params, reason
 
 
 # ---------------------------------------------------------------------------
 # shared traversal
 
 
-def run_tree_dp(tree, alg, config_sink=None, *, frontier=False, fold_sink=None):
+def run_tree_dp(tree, alg, *, frontier=False, fold_sink=None):
     """Fold ``alg`` bottom-up over the tree, returning its partial states.
 
     The result maps ``(v, i)`` to the algebra state of the subtree made of
@@ -142,12 +173,10 @@ def run_tree_dp(tree, alg, config_sink=None, *, frontier=False, fold_sink=None):
     intermediate ``(v, i)`` is stored and a node's full state is dropped
     once it is combined into its parent or folded into its cycle: the run
     holds only the states still to be combined, and the result holds the
-    root's context alone, with the same state.
-    ``config_sink`` gets the state of each configuration the run folds,
-    ``1..cycle_cutoff(alg, cycle)``, keyed ``(cycle, j)``.  ``fold_sink``
-    is called at each cycle with its tree context ``(v, i)`` and returns
-    the ``keep`` that :func:`_fold_configurations` hands each of its
-    configurations as it is folded.
+    root's context alone, with the same state.  ``fold_sink`` is called
+    at each cycle with its tree context ``(v, i)`` and returns the
+    ``keep`` that :func:`_fold_configurations` hands each of its
+    configurations, ``1..cycle_cutoff(alg, cycle)``, as it is folded.
     """
     sets = {}
     take = sets.pop if frontier else sets.__getitem__
@@ -167,8 +196,6 @@ def run_tree_dp(tree, alg, config_sink=None, *, frontier=False, fold_sink=None):
                         del sets[(node, tree.full_index(node))]
                 keep = None if fold_sink is None else fold_sink((v, idx))
                 configs = _fold_configurations(alg, cyc, js, owns, state, keep)
-                if config_sink is not None:
-                    config_sink.update(((cyc, j), config) for j, _step, config in configs)
                 state = alg.union_configs(configs, cyc)
             elif child == on_cyc:
                 # combined at the cycle's start node instead; must be last
@@ -529,9 +556,9 @@ def decide_p_partition(
     be a :class:`CactusTree` (``root`` is then ignored).  The run keeps
     only its frontier (:func:`run_tree_dp`).
     """
-    if trivially_infeasible(graph_of(graph, root), params):
+    tree, params, reason = _prepare(graph, root, *params)
+    if reason:
         return False
-    tree = as_tree(graph, root)
     alg = MaskAlgebra(tree.graph, params)
     states = run_tree_dp(tree, alg, frontier=True)
     mask = states[(tree.root, tree.full_index(tree.root))].get(params.num_clusters, 0)

@@ -42,16 +42,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .dp_core import (
-    IdentityLift,
-    ProblemParams,
-    _check_leaf_weights,
-    run_tree_dp,
-    trivially_infeasible,
-)
+from .dp_core import IdentityLift, ProblemParams, _check_leaf_weights, _prepare, run_tree_dp
 from .errors import IntervalCountError
 from .graph_model import CactusGraph
-from .tree_rep import CactusTree, as_tree, graph_of
+from .tree_rep import CactusTree
 
 Interval = tuple[int, int]
 
@@ -225,9 +219,9 @@ def decide_p_partition_poly(
 ) -> bool:
     """Interval-compressed equivalent of ``decide_p_partition``; its run
     keeps only its frontier, too."""
-    if trivially_infeasible(graph_of(graph, root), params):
+    tree, params, reason = _prepare(graph, root, *params)
+    if reason:
         return False
-    tree = as_tree(graph, root)
     states = run_tree_dp(tree, IntervalAlgebra(tree.graph, params), frontier=True)
     state = states[(tree.root, tree.full_index(tree.root))]
     lower, upper = params.lower, params.upper

@@ -31,7 +31,8 @@ its record.  ``combine`` and ``union_configs`` are named in each class
 body, because perfbench's tracer wraps them per class.
 
 Every entry point takes a graph or a ``CactusTree`` built from one (its
-``root`` argument is then ignored), so one tree can serve several solves.
+``root`` argument is then ignored), so one tree can serve several solves,
+and starts with ``dp_core._prepare`` (over sizes for minmax/maxmin).
 """
 
 from __future__ import annotations
@@ -39,16 +40,9 @@ from __future__ import annotations
 import operator
 
 from .backtrack import _engine, annotate, collect_cuts, reconstruct
-from .dp_core import (
-    IdentityLift,
-    ProblemParams,
-    run_tree_dp,
-    state_cells,
-    trivially_infeasible,
-)
+from .dp_core import IdentityLift, _prepare, run_tree_dp, state_cells
 from .errors import InvalidParamsError
 from .graph_model import canonicalize_partition
-from .tree_rep import as_tree, graph_of
 
 
 def _record_cells(stats, states, algorithm=None):
@@ -125,18 +119,17 @@ def max_partition(graph, lower, upper, root=None, algorithm="interval", stats=No
 
 def _extreme_partition(graph, lower, upper, root, algorithm, minimize, stats=None):
     _engine(algorithm)  # an unknown engine is an error, also when answered early
-    source, graph = graph, graph_of(graph, root)
-    params = ProblemParams(lower, upper, graph.num_vertices)
-    if graph.max_weight > upper:  # n is a cap: the count bounds do not apply
+    tree, params, reason = _prepare(graph, root, lower, upper)
+    if reason:
         return None
-    run = annotate(as_tree(source, root), params, algorithm)
+    run = annotate(tree, params, algorithm)
     _record_cells(stats, run.states, algorithm)
     feasible = run.feasible_counts()
     if not feasible:
         return None
     count = min(feasible) if minimize else max(feasible)
     # the count-cap-n states hold every smaller count's states unchanged
-    return count, reconstruct(run._replace(params=ProblemParams(lower, upper, count)))
+    return count, reconstruct(run._replace(params=params._replace(num_clusters=count)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +211,10 @@ def min_cost_partition(graph, lower, upper, num_clusters=None, root=None, stats=
     ``num_clusters`` given, only partitions of exactly that size count.
     Returns ``(cost, partition)`` or None.
     """
-    source, graph = graph, graph_of(graph, root)
-    count_cap = graph.num_vertices if num_clusters is None else num_clusters
-    params = ProblemParams(lower, upper, count_cap)
-    # without num_clusters the count is a cap: the count bounds do not apply
-    exact = num_clusters is not None
-    if graph.max_weight > upper or (exact and trivially_infeasible(graph, params)):
+    tree, params, reason = _prepare(graph, root, lower, upper, num_clusters)
+    if reason:
         return None
-    tree = as_tree(source, root)
-    alg = CostAlgebra(graph, lower, upper, count_cap)
+    alg = CostAlgebra(tree.graph, lower, upper, params.num_clusters)
     found = _best_witness(tree, alg, stats, lambda key, cost: (
         cost if lower <= key[0] <= upper and num_clusters in (None, key[1]) else None
     ))
@@ -288,8 +276,7 @@ class SizeWeightAlgebra(_BestPerKey):
     union_configs = _BestPerKey.union_configs
 
 
-def _size_weight_solve(graph, lower, upper, count, bound, maximize, root=None, stats=None):
-    tree = as_tree(graph, root)
+def _size_weight_solve(tree, lower, upper, count, bound, maximize, stats=None):
     alg = SizeWeightAlgebra(tree.graph, lower, upper, count, bound, maximize)
     found = _best_witness(tree, alg, stats, lambda key, y: (
         0 if key[1] == count and lower <= key[0] <= upper and (y >= bound or not maximize) else None
@@ -313,13 +300,11 @@ def minmax_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     with the bracket on one value, the weight of the partition returned.
     Every probe runs on the same tree.
     """
-    ProblemParams(lower, upper, num_clusters)
-    source, graph = graph, graph_of(graph, root)
-    if num_clusters > graph.num_vertices or max(graph.size.values()) > upper:
+    tree, _params, reason = _prepare(graph, root, lower, upper, num_clusters, "size")
+    if reason:
         return None
-    tree = as_tree(source, root)
-    total = graph.total_weight
-    lo = max(graph.max_weight, -(-total // num_clusters))
+    total = tree.graph.total_weight
+    lo = max(tree.graph.max_weight, -(-total // num_clusters))
     best = _size_weight_solve(tree, lower, upper, num_clusters, total, False, stats=stats)
     if best is None:
         return None
@@ -344,12 +329,10 @@ def maxmin_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     it move the lower end up to the lightest cluster of the partition
     they returned.
     """
-    ProblemParams(lower, upper, num_clusters)
-    source, graph = graph, graph_of(graph, root)
-    if num_clusters > graph.num_vertices or max(graph.size.values()) > upper:
+    tree, _params, reason = _prepare(graph, root, lower, upper, num_clusters, "size")
+    if reason:
         return None
-    tree = as_tree(source, root)
-    hi = graph.total_weight // num_clusters
+    hi = tree.graph.total_weight // num_clusters
     best = _size_weight_solve(tree, lower, upper, num_clusters, 0, True, stats=stats)
     if best is None:
         return None
@@ -461,14 +444,12 @@ def capacity_partition(
     """
     if objective not in ("min", "max"):
         raise InvalidParamsError(f"objective must be 'min' or 'max', got {objective!r}")
-    ProblemParams(weight_lower, weight_upper, 1)  # checks the weight window
     if not isinstance(capacity_upper, int) or isinstance(capacity_upper, bool) or capacity_upper < 0:
         raise InvalidParamsError("capacity bound must be a non-negative integer")
-    source, graph = graph, graph_of(graph, root)
-    if graph.max_weight > weight_upper:
+    tree, _params, reason = _prepare(graph, root, weight_lower, weight_upper)
+    if reason:
         return None
-    tree = as_tree(source, root)
-    alg = CapacityAlgebra(graph, weight_lower, weight_upper, capacity_upper)
+    alg = CapacityAlgebra(tree.graph, weight_lower, weight_upper, capacity_upper)
     sign = 1 if objective == "min" else -1  # rank by count, or by count descending
     found = _best_witness(tree, alg, stats, lambda key, _y: (
         sign * key[1] if weight_lower <= key[0] <= weight_upper else None

@@ -10,8 +10,9 @@ to compare the package with:
   as tuple sets, the last two over every configuration 1..m-1 of a
   cycle, past its cutoff too; ``configuration_state`` and
   ``fold_configuration`` fold one configuration through the package's
-  fold loop, and ``keep_every_fold`` keeps every configuration's fold
-  of a run for a ``ContextMap``;
+  fold loop, ``keep_every_fold`` keeps every configuration's fold of a
+  run for a ``ContextMap``, and ``run_with_configs`` runs ``run_tree_dp``
+  and hands out the state of each configuration it folded;
 - ``configuration_edges`` names the tree edge a configuration removes
   and the cycle edge it adds;
 - ``connected_partitions_grown`` enumerates partitions a second way, to
@@ -62,6 +63,25 @@ def keep_every_fold(folds: dict):
     """A ``run_tree_dp`` ``fold_sink`` putting every configuration's state
     and fold in ``folds``, keyed by the cycle's start context."""
     return _keeper(lambda: lambda _state: True, folds)
+
+
+def run_with_configs(tree, alg, **options):
+    """``run_tree_dp(tree, alg, **options)`` and the state of each
+    configuration the run folds, keyed ``(cycle, j)``, as
+    ``alg.union_configs`` receives them, ``(j, step, state)`` per
+    configuration.  ``alg`` gets its own ``union_configs`` back after."""
+    configs: dict = {}
+    union = alg.union_configs
+
+    def recording(folded, cycle):
+        configs.update(((cycle, j), state) for j, _step, state in folded)
+        return union(folded, cycle)
+
+    alg.union_configs = recording
+    try:
+        return run_tree_dp(tree, alg, **options), configs
+    finally:
+        del alg.union_configs
 
 
 def oplus(a, b, params: ProblemParams):

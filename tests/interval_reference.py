@@ -190,9 +190,9 @@ class _IntervalSearch:
         return self._cluster_memo[key]
 
 
-def recorded_states(tree, params, config_sink=None):
+def recorded_states(tree, params):
     """Every partial state of the recorded run, keyed like ``run_tree_dp``'s."""
-    return run_tree_dp(tree, IntervalAlgebra(tree.graph, params), config_sink=config_sink)
+    return run_tree_dp(tree, IntervalAlgebra(tree.graph, params))
 
 
 def recorded_witness(graph, root_state, params, target=None):

@@ -28,7 +28,7 @@ from cactus_partition.errors import WitnessNotFoundError
 from cactus_partition.interval_dp import IEntry, IntervalAlgebra
 
 import interval_reference
-from dp_reference import keep_every_fold
+from dp_reference import keep_every_fold, run_with_configs
 from interval_reference import recorded_states, recorded_witness
 from util import graph_from, path, random_graph, triangle
 
@@ -220,10 +220,9 @@ def test_interval_walk_matches_recorded_search():
         root_ctx = (tree.root, tree.full_index(tree.root))
         params = ProblemParams(lower, upper, p)
         run = annotate(tree, params, "interval")
-        configs: dict = {}
-        recorded = recorded_states(tree, params, configs)
+        recorded, configs = run_with_configs(tree, interval_reference.IntervalAlgebra(g, params))
         assert run.states == _plain(recorded)
-        assert run.configs == _plain(configs)
+        assert run_with_configs(tree, IntervalAlgebra(g, params))[1] == _plain(configs)
         cyclic += bool(tree.cycles)
         root = recorded[root_ctx]
         targets = [(e.lo, e.hi, p) for e in root.get(p, ()) if e.intersects(lower, upper)]
@@ -290,9 +289,8 @@ def test_a_state_breaking_the_contract_raises():
         tree = build_tree(g)
         counts = annotate(tree, ProblemParams(lower, upper, g.num_vertices), "interval")
         params = ProblemParams(lower, upper, rng.choice(sorted(counts.feasible_counts()) or [1]))
-        configs: dict = {}
         folds: dict = {}
-        recorded = run_tree_dp(tree, _Raised(g, params, rng.randint(1, 8)), configs,
+        recorded = run_tree_dp(tree, _Raised(g, params, rng.randint(1, 8)),
                                fold_sink=_keeper(_plain_entered, folds))
         root = recorded[(tree.root, tree.full_index(tree.root))]
         plain_folds = {
@@ -305,7 +303,7 @@ def test_a_state_breaking_the_contract_raises():
         run = AnnotatedRun(
             tree, params, "interval", _plain(recorded),
             {k: tuple(IEntry(e.lo, e.hi) for e in ents) for k, ents in root.items()},
-            _plain(configs), plain_folds,
+            plain_folds,
         )
         try:
             want = recorded_witness(g, root, params)

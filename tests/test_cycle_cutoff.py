@@ -32,6 +32,7 @@ from dp_reference import (
     cycle_node_states,
     fold_configuration,
     root_set,
+    run_with_configs,
 )
 from util import arc_cutoff, random_graph, ring, rings_and_necklaces
 
@@ -68,8 +69,7 @@ def test_configurations_past_the_cutoff_add_no_tuple():
     for g, params in _mask_corpus():
         tree = build_tree(g)
         alg = MaskAlgebra(g, params)
-        sink: dict = {}
-        states = run_tree_dp(tree, alg, config_sink=sink)
+        states, sink = run_with_configs(tree, alg)
         for cyc in tree.cycles:
             folded = _folded(sink, cyc)
             assert folded == list(range(1, arc_cutoff(cyc, g.weight, params.upper) + 1))
@@ -125,8 +125,7 @@ def test_dict_unions_over_every_configuration_equal_the_cut_off_unions():
     for seed in range(150):
         g, tree, algebras = _dict_algebras(seed)
         for alg in algebras:
-            sink: dict = {}
-            states = run_tree_dp(tree, alg, config_sink=sink)
+            states, sink = run_with_configs(tree, alg)
             quantity, upper = alg.arc_limit
             for cyc in tree.cycles:
                 folded = _folded(sink, cyc)

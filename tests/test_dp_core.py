@@ -27,6 +27,7 @@ from dp_reference import (
     oplus,
     oracle_root_tuples,
     root_set,
+    run_with_configs,
     subtree_sets,
 )
 from util import arc_cutoff, graph_from, path, random_graph, rings_and_necklaces, triangle
@@ -214,9 +215,8 @@ def test_context_map_parts_rebuild_the_stored_states(algebra):
     for g in rings_and_necklaces():
         tree = build_tree(g)
         alg = algebra(g, ProblemParams(2, 7, g.num_vertices))
-        configs: dict = {}
         folds: dict = {}
-        states = run_tree_dp(tree, alg, config_sink=configs, fold_sink=keep_every_fold(folds))
+        states, configs = run_with_configs(tree, alg, fold_sink=keep_every_fold(folds))
         contexts = ContextMap(tree, states, folds)
         for ctx, want in states.items():
             if ctx[1] == 0 or ctx in tree.cycle_at:

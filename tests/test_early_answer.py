@@ -2,11 +2,13 @@
 
 ``trivially_infeasible`` answers "no" when ``p`` clusters in ``[l, u]``
 cannot add up to the total weight ``W``.  That holds for an exact count
-only: ``min_partition``/``max_partition`` and ``min_cost_partition``
-without ``p`` pass ``n`` as a count cap, ``capacity_partition`` passes 1,
-and with the sum bound they would wrongly answer "no" whenever
-``n * l > W`` or ``u < W``.  These tests pin both sides against the
-oracle, and that the deciders answer before building a tree.
+only: ``min_partition``/``max_partition``, ``min_cost_partition``
+without ``p`` and ``capacity_partition`` cap the count at ``n``, and
+with the sum bound they would wrongly answer "no" whenever ``n * l > W``
+or ``u < W``.  These tests pin both sides against the oracle, also for
+the size bounds of minmax/maxmin.  The entry-point matrix pins the one
+order every entry point checks in (parameters, root, early answer,
+tree), and no early answer builds a tree.
 """
 
 import json
@@ -30,18 +32,24 @@ from cactus_partition import (
     trivially_infeasible,
 )
 from cactus_partition.cli import run
+from cactus_partition.dp_core import _prepare
+from cactus_partition.errors import InvalidParamsError
 from cactus_partition.oracle import (
     enumerate_all,
     oracle_capacity,
     oracle_max,
+    oracle_maxmin,
     oracle_min,
     oracle_min_cost,
+    oracle_minmax,
 )
 
-from util import path, random_graph, triangle
+from util import graph_from, path, random_graph, triangle
 
 LOWER_SUM = "the clusters' lower bounds add up to more than the total weight"
 UPPER_SUM = "the clusters' upper bounds add up to less than the total weight"
+LOWER_SIZE_SUM = "the clusters' lower bounds add up to more than the total size"
+UPPER_SIZE_SUM = "the clusters' upper bounds add up to less than the total size"
 
 
 def _objective(found):
@@ -105,50 +113,138 @@ def test_min_cost_with_a_count_answers_from_the_sum_bound():
     assert min_cost_partition(g, 2, 4, num_clusters=2) is not None
 
 
-@pytest.mark.parametrize("decide", [decide_p_partition, decide_p_partition_poly])
-def test_deciders_answer_the_sum_bound_without_a_tree(decide, monkeypatch):
+# The entry-point matrix: every entry point that may answer early, on
+# ``G`` (n 3, W 9, heaviest vertex 5, sizes equal to weights, cuts cost 3
+# and 1), in each column's request.  A cell holds the answer (the bool of a
+# decider, the objective of a variant, or None) or the exception type and
+# message.  Entry points without ``p`` (min, max, min-cost, capacity) cap
+# the count at n: they ignore the column's ``p``, and the sum bounds do not
+# apply to them.
+G = graph_from({"n0": 2, "n1": 5, "n2": 2}, [("n0", "n1"), ("n1", "n2")],
+               costs={("n0", "n1"): 3, ("n1", "n2"): 1})
+EARLY_ANSWERS = {
+    "decide": lambda g, root, l, u, p: decide_p_partition(g, ProblemParams(l, u, p), root),
+    "decide-poly": lambda g, root, l, u, p: decide_p_partition_poly(g, ProblemParams(l, u, p), root),
+    "min": lambda g, root, l, u, p: min_partition(g, l, u, root=root),
+    "min-tupleset": lambda g, root, l, u, p: min_partition(g, l, u, root=root, algorithm="tupleset"),
+    "max": lambda g, root, l, u, p: max_partition(g, l, u, root=root, algorithm="tupleset"),
+    "max-interval": lambda g, root, l, u, p: max_partition(g, l, u, root=root),
+    "min-cost": lambda g, root, l, u, p: min_cost_partition(g, l, u, root=root),
+    "min-cost-p": lambda g, root, l, u, p: min_cost_partition(g, l, u, num_clusters=p, root=root),
+    "minmax": lambda g, root, l, u, p: minmax_partition(g, l, u, p, root=root),
+    "maxmin": lambda g, root, l, u, p: maxmin_partition(g, l, u, p, root=root),
+    "capacity": lambda g, root, l, u, p: capacity_partition(g, l, u, 10, root=root),
+}
+COLUMNS = {  # (lower, upper, p, root); "tree" runs on build_tree(G)
+    "feasible": (2, 7, 2, None),
+    "bad-window": (5, 4, 2, None),
+    "bad-root": (0, 4, 3, "zz"),  # with a heavy vertex: the root is checked first
+    "both": (5, 4, 2, "zz"),
+    "heavy": (0, 4, 3, None),
+    "p-above-n": (0, 9, 4, None),
+    "lower-sum": (4, 9, 3, None),
+    "upper-sum": (0, 8, 1, None),
+    "tree": (2, 7, 2, "zz"),  # a tree keeps its own root
+}
+W = (InvalidParamsError, "lower bound 5 exceeds upper bound 4")
+R = (ValueError, "root 'zz' is not a vertex")
+EXPECTED = {  # in the order of COLUMNS
+    "decide": (True, W, R, W, False, False, False, False, True),
+    "decide-poly": (True, W, R, W, False, False, False, False, True),
+    "min": (2, W, R, W, None, 1, 1, 2, 2),
+    "min-tupleset": (2, W, R, W, None, 1, 1, 2, 2),
+    "max": (3, W, R, W, None, 3, 1, 3, 3),
+    "max-interval": (3, W, R, W, None, 3, 1, 3, 3),
+    "min-cost": (1, W, R, W, None, 0, 0, 1, 1),
+    "min-cost-p": (1, W, R, W, None, None, None, None, 1),
+    "minmax": (7, W, R, W, None, None, None, None, 7),
+    "maxmin": (2, W, R, W, None, None, None, None, 2),
+    "capacity": (2, W, R, W, None, 1, 1, 2, 2),
+}
+
+
+def _request(entry, column):
+    lower, upper, p, root = COLUMNS[column]
+    source = build_tree(G) if column == "tree" else G
+    return lambda: EARLY_ANSWERS[entry](source, root, lower, upper, p)
+
+
+def _early_columns(entry):
+    """The columns where ``entry`` answers early (None, or False for a decider)."""
+    return [column for column, want in zip(COLUMNS, EXPECTED[entry]) if want is None or want is False]
+
+
+@pytest.mark.parametrize("column", list(COLUMNS))
+@pytest.mark.parametrize("entry", sorted(EARLY_ANSWERS))
+def test_every_entry_point_checks_in_one_order(entry, column):
+    want = EXPECTED[entry][list(COLUMNS).index(column)]
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]) as raised:
+            _request(entry, column)()
+        assert (type(raised.value), str(raised.value)) == want
+    else:
+        got = _request(entry, column)()
+        assert (got if got is None or isinstance(got, bool) else got[0]) == want
+
+
+# the deciders keep the ids this test had when it covered them alone
+@pytest.mark.parametrize("entry", sorted(EARLY_ANSWERS), ids={
+    "decide": "decide_p_partition", "decide-poly": "decide_p_partition_poly"}.get)
+def test_deciders_answer_the_sum_bound_without_a_tree(entry, monkeypatch):
+    """No early answer builds a tree; the feasible request builds one."""
     built = []
     monkeypatch.setattr(  # where ``as_tree`` looks it up
         tree_rep, "build_tree", lambda graph, root=None, _real=tree_rep.build_tree: (
             built.append(graph) or _real(graph, root)
         ),
     )
+    early = _early_columns(entry)
+    assert "heavy" in early
+    for column in early:
+        assert not _request(entry, column)()
+        assert built == [], column
+    assert _request(entry, "feasible")()
+    assert built == [G]
+
+
+def test_each_early_answer_names_its_reason():
+    """The reasons the CLI prints, over weights and over sizes; a count
+    cap gets no sum bound."""
     g = path([2, 2, 2])
     assert trivially_infeasible(g, ProblemParams(4, 6, 2)) == LOWER_SUM
-    assert decide(g, ProblemParams(4, 6, 2)) is False
     assert trivially_infeasible(g, ProblemParams(0, 2, 2)) == UPPER_SUM
-    assert decide(g, ProblemParams(0, 2, 2)) is False
-    assert built == []
     assert trivially_infeasible(g, ProblemParams(2, 4, 2)) is None
-    assert decide(g, ProblemParams(2, 4, 2)) is True
-    assert built == [g]
-
-
-# Each request has an early answer on ``path([2, 5, 2])`` (n 3, W 9): the
-# sum bound 1 * 5 < 9, a vertex of weight 5 above u = 4, or 4 clusters
-# on 3 vertices.
-EARLY_ANSWERS = {
-    "decide": lambda g, root: decide_p_partition(g, ProblemParams(0, 5, 1), root),
-    "decide-poly": lambda g, root: decide_p_partition_poly(g, ProblemParams(0, 5, 1), root),
-    "min": lambda g, root: min_partition(g, 0, 4, root=root),
-    "max": lambda g, root: max_partition(g, 0, 4, root=root, algorithm="tupleset"),
-    "min-cost": lambda g, root: min_cost_partition(g, 0, 4, root=root),
-    "min-cost-p": lambda g, root: min_cost_partition(g, 0, 5, num_clusters=1, root=root),
-    "minmax": lambda g, root: minmax_partition(g, 0, 9, 4, root=root),
-    "maxmin": lambda g, root: maxmin_partition(g, 0, 9, 4, root=root),
-    "capacity": lambda g, root: capacity_partition(g, 0, 4, 10, root=root),
-}
+    for column, by_weight, by_size in (("lower-sum", LOWER_SUM, LOWER_SIZE_SUM),
+                                       ("upper-sum", UPPER_SUM, UPPER_SIZE_SUM)):
+        lower, upper, p, _root = COLUMNS[column]
+        assert _prepare(G, None, lower, upper, p)[2] == by_weight
+        assert _prepare(G, None, lower, upper, p, "size")[2] == by_size
+        assert _prepare(G, None, lower, upper)[2] is None
 
 
 @pytest.mark.parametrize("entry", sorted(EARLY_ANSWERS))
 def test_a_bad_root_raises_before_an_early_answer(entry):
+    """In every column where ``entry`` answers early, a bad root raises
+    first: with an exact count that is a heavy vertex, ``p > n`` and each
+    sum bound; with a count cap, a heavy vertex alone."""
     solve = EARLY_ANSWERS[entry]
-    g = path([2, 5, 2])
-    assert not solve(g, None)
-    assert not solve(g, "n1")
-    with pytest.raises(ValueError, match="root 'zz' is not a vertex"):
-        solve(g, "zz")
-    assert not solve(build_tree(g), "zz")  # a tree keeps its own root
+    early = _early_columns(entry)
+    exact = entry in ("decide", "decide-poly", "min-cost-p", "minmax", "maxmin")
+    assert early == (["heavy", "p-above-n", "lower-sum", "upper-sum"] if exact else ["heavy"])
+    for column in early:
+        request = COLUMNS[column][:3]
+        assert not solve(G, None, *request)
+        assert not solve(G, "n1", *request)
+        with pytest.raises(ValueError, match="root 'zz' is not a vertex"):
+            solve(G, "zz", *request)
+        assert not solve(build_tree(G), "zz", *request)  # a tree keeps its own root
+
+
+def test_capacity_checks_its_own_options_before_the_window():
+    with pytest.raises(InvalidParamsError, match="^capacity bound must be a non-negative integer$"):
+        capacity_partition(G, 5, 4, -1)
+    with pytest.raises(InvalidParamsError, match="^objective must be 'min' or 'max', got 'mid'$"):
+        capacity_partition(G, 5, 4, -1, objective="mid")
 
 
 # An unknown engine on ``path([2, 5, 2])``, with u = 4 (a vertex outweighs
@@ -186,6 +282,26 @@ def test_the_sum_bound_never_rejects_a_feasible_count():
                     for p in catalog.partitions
                 ), (seed, params)
     assert rejected >= 20
+    # minmax/maxmin check the same bounds over sizes: a size-sum reason
+    # fires only where the oracle finds no partition, and their answers
+    # are the oracle's
+    rejected = 0
+    for seed in range(60):
+        g = random_graph(seed, n=rng.randint(2, 8), cycle_density=0.6, size_range=(0, 6))
+        catalog = enumerate_all(g)
+        sizes = g.size.values()
+        for _ in range(6):
+            upper = rng.randint(max(sizes), sum(sizes) + 2)
+            lower, p = rng.randint(0, upper), rng.randint(1, g.num_vertices)
+            reason = _prepare(g, None, lower, upper, p, "size")[2]
+            want_max = oracle_minmax(catalog, lower, upper, p)
+            want_min = oracle_maxmin(catalog, lower, upper, p)
+            if reason in (LOWER_SIZE_SUM, UPPER_SIZE_SUM):
+                rejected += 1
+                assert want_max is None and want_min is None, (seed, lower, upper, p)
+            assert _objective(minmax_partition(g, lower, upper, p)) == _objective(want_max)
+            assert _objective(maxmin_partition(g, lower, upper, p)) == _objective(want_min)
+    assert rejected >= 20
 
 
 def _cli(tmp_path, capsys, graph, *argv):
@@ -205,6 +321,9 @@ def test_cli_names_the_reason_of_an_infeasible_answer(variant, engine, tmp_path,
     assert code == 1 and result["feasible"] is False
     assert set(result["stats"]) == keys | {"reason"}
     assert result["stats"]["reason"] == LOWER_SUM and result["stats"]["dp_cells"] == 0
+    code, result = _cli(tmp_path, capsys, g, *flags, "-l", "0", "-u", "5", "-p", "1")
+    assert code == 1 and result["feasible"] is False
+    assert result["stats"]["reason"] == UPPER_SUM and result["stats"]["dp_cells"] == 0
     code, result = _cli(tmp_path, capsys, g, *flags, "-l", "3", "-u", "3", "-p", "2")
     assert code == 1 and result["feasible"] is False
     assert result["stats"]["reason"] == "no partition found by the DP"

@@ -2,7 +2,7 @@
 
 ``fold_reference`` keeps the earlier fold.  On seeded cacti, for all six
 algebras, the package's run must give the same states, the same
-configuration states in its ``config_sink``, the same combine counts and,
+configuration states (``run_with_configs``), the same combine counts and,
 for the recorded algebras, the same witness cuts; and for every
 configuration j = 1..m of every cycle, ``m`` included, the same
 ``configuration_state`` and the same ``(joined, chains)`` from
@@ -16,17 +16,12 @@ import pytest
 
 from cactus_partition import ProblemParams, build_tree
 from cactus_partition.backtrack import collect_cuts
-from cactus_partition.dp_core import (
-    CycleStep,
-    MaskAlgebra,
-    TupleAlgebra,
-    run_tree_dp,
-)
+from cactus_partition.dp_core import CycleStep, MaskAlgebra, TupleAlgebra
 from cactus_partition.interval_dp import IntervalAlgebra
 from cactus_partition.tree_rep import absent_cycle_edge
 from cactus_partition.variants import CapacityAlgebra, CostAlgebra, SizeWeightAlgebra
 
-from dp_reference import configuration_state, cycle_node_states, fold_configuration
+from dp_reference import configuration_state, cycle_node_states, fold_configuration, run_with_configs
 from util import random_graph, rings_and_necklaces
 
 ALGEBRAS = ("mask", "interval", "tuple", "cost", "sizeweight", "capacity")
@@ -107,8 +102,8 @@ def test_one_pass_fold_matches_the_per_configuration_fold(name, monkeypatch):
         alg = _algebra(name, g, lower, upper, p, bound, cap, maximize=case % 2 == 1)
         counts = counts or _counted(monkeypatch, type(alg))
         counts[:] = [0, 0]
-        sink, ref_sink = {}, {}
-        states = run_tree_dp(tree, alg, config_sink=sink)
+        ref_sink = {}
+        states, sink = run_with_configs(tree, alg)
         new_counts = list(counts)
         counts[:] = [0, 0]
         ref_states = ref.run_tree_dp(tree, alg, config_sink=ref_sink)

@@ -23,7 +23,7 @@ from cactus_partition import (
 from cactus_partition import dp_core
 from cactus_partition.dp_core import MaskAlgebra, TupleAlgebra, _mask_state_to_set, run_tree_dp
 
-from dp_reference import oplus
+from dp_reference import oplus, run_with_configs
 from util import arc_cutoff, graph_from, path, random_graph, ring
 
 
@@ -129,9 +129,8 @@ def test_ring_states_match_recorded_algebra(m):
     g = ring(m, seed=m)
     params = ProblemParams(3, 12, -(-g.total_weight // 12) + 2)
     tree = build_tree(g)
-    mask_sink, tuple_sink = {}, {}
-    masked = run_tree_dp(tree, MaskAlgebra(g, params), config_sink=mask_sink)
-    recorded = run_tree_dp(tree, TupleAlgebra(g, params), config_sink=tuple_sink)
+    masked, mask_sink = run_with_configs(tree, MaskAlgebra(g, params))
+    recorded, tuple_sink = run_with_configs(tree, TupleAlgebra(g, params))
     assert masked.keys() == recorded.keys()
     for ctx, state in masked.items():
         assert _mask_state_to_set(state) == recorded[ctx].keys()

@@ -144,7 +144,7 @@ def test_minmax_decision_monotone_in_bound():
         g = random_graph(seed + 60, n=7, cycle_density=0.5, size_range=(0, 5))
         total = g.total_weight
         answers = [
-            _size_weight_solve(g, 0, sum(g.size.values()), 2, bound, False, None) is not None
+            _size_weight_solve(build_tree(g), 0, sum(g.size.values()), 2, bound, False) is not None
             for bound in range(max(g.weight.values()), total + 1)
         ]
         assert answers == sorted(answers)  # False... then True...

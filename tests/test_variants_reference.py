@@ -16,13 +16,10 @@ import variants_reference as ref
 
 from cactus_partition import build_tree, variants
 from cactus_partition.backtrack import collect_cuts
-from cactus_partition.dp_core import (
-    CycleStep,
-    run_tree_dp,
-)
+from cactus_partition.dp_core import CycleStep
 from cactus_partition.tree_rep import absent_cycle_edge
 
-from dp_reference import cycle_node_states, fold_configuration
+from dp_reference import cycle_node_states, fold_configuration, run_with_configs
 from util import random_graph
 
 INSTANCES = 1000
@@ -124,9 +121,8 @@ def test_dict_algebras_match_recorded_reference():
         root = (tree.root, tree.full_index(tree.root))
         for label, alg, ref_alg in pairs:
             where = f"seed {seed}, {label}"
-            configs, ref_configs = {}, {}
-            states = run_tree_dp(tree, alg, config_sink=configs)
-            ref_states = run_tree_dp(tree, ref_alg, config_sink=ref_configs)
+            states, configs = run_with_configs(tree, alg)
+            ref_states, ref_configs = run_with_configs(tree, ref_alg)
             assert list(states) == list(ref_states), where
             for node, want in ref_states.items():
                 _same_state(states[node], want, f"{where}, state {node}")

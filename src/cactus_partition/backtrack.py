@@ -59,6 +59,8 @@ from .dp_core import (
     ProblemParams,
     _check_leaf_weights,
     _mask_state_to_set,
+    _prepare,
+    _record_cells,
     run_tree_dp,
 )
 from .errors import WitnessNotFoundError
@@ -125,6 +127,32 @@ def annotate(
     else:
         root_state = {k: tuple(IEntry(lo, hi) for lo, hi in ivs) for k, ivs in root_state.items()}
     return AnnotatedRun(tree, params, algorithm, states, root_state, folds)
+
+
+def _walk_count(source, lower, upper, num_clusters=None, root=None, algorithm="interval",
+                stats=None, pick=None, witness=True):
+    """Run ``algorithm`` once and walk the witness at one feasible count:
+    the one ``pick`` (``min`` or ``max``, for min / max) takes from the
+    root's feasible counts, or with ``pick`` None the ``num_clusters``
+    requested (the CLI's decide and solve).
+
+    Returns ``(count, partition)``, the count None when it was requested
+    and the partition None without ``witness``, or None when that count is
+    not feasible.  ``stats`` gets ``dp_cells`` and an early ``reason``.
+    """
+    _engine(algorithm)  # an unknown engine is an error, also when answered early
+    tree, params, reason = _prepare(source, root, lower, upper, num_clusters, stats=stats)
+    if reason:
+        return None
+    run = annotate(tree, params, algorithm)
+    _record_cells(stats, run.states, algorithm)
+    feasible = run.feasible_counts()
+    count = params.num_clusters if pick is None else pick(feasible, default=None)
+    if count not in feasible:
+        return None
+    # the count-cap-n states hold every smaller count's states unchanged
+    partition = reconstruct(run._replace(params=params._replace(num_clusters=count))) if witness else None
+    return (None if pick is None else count), partition
 
 
 def _keeper(rule, folds: dict):

@@ -5,6 +5,12 @@ requested solver and prints a machine-readable JSON result; ``gen``
 writes a seeded random cactus document.  Exit codes: 0 solved/feasible,
 1 infeasible, 2 usage error, 3 input error; a reader that closes stdout
 early changes none of them.
+
+Every ``solve`` request takes one path: its ``VARIANTS`` row names the
+library function and the oracle function and the flags both take, and
+the library fills the request's ``stats`` dict (``dp_cells``, and the
+``reason`` of an early answer).  An infeasible answer with no reason yet
+gets ``"no partition found by the DP"``.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from collections import namedtuple
 from functools import partial
 from importlib import import_module
 
-from .backtrack import annotate, reconstruct
-from .dp_core import _prepare, state_cells
+from .backtrack import _walk_count
 from .errors import GraphError, InvalidParamsError, TooLargeError
 from .graph_model import validate_cactus
 from .tree_rep import build_tree
@@ -95,79 +100,33 @@ def _emit(document, code: int) -> int:
     return code
 
 
-def _decide(source, args, algorithm, stats, witness=False):
-    tree, params, stats["reason"] = _prepare(source, args.root, args.l, args.u, args.p)
-    if stats["reason"]:
-        return None
-    run_state = annotate(tree, params, algorithm)
-    stats["dp_cells"] = state_cells(run_state.states, algorithm)
-    if params.num_clusters not in run_state.feasible_counts():
-        stats["reason"] = "no partition found by the DP"
-        return None
-    return None, reconstruct(run_state) if witness else None
-
-
-def _decide_oracle(catalog, args):
-    return (None,) if _load("oracle").oracle_decide(catalog, args.l, args.u, args.p) else None
-
-
-class _Variant(namedtuple("_Variant", "required optional engines solve oracle")):
-    """One row of ``VARIANTS``: the flags the variant needs (``required``)
-    and further ones it accepts (``optional``), the accepted --algorithm
-    values (``engines``, the default first), ``solve(source, args, engine,
-    stats)`` -> None or (objective, partition), and ``oracle(catalog,
-    args)`` -> None if infeasible, else the objective first.  ``source``
-    is the graph, which the solver roots at ``args.root``, or that tree
-    when the output shows it."""
+class _Variant(namedtuple("_Variant", "flags optional engines solve oracle")):
+    """One row of ``VARIANTS``.  ``flags`` are the options the variant
+    takes, in the order its solver and its oracle function take them
+    after the graph (``optional`` names those it may go without), and
+    ``engines`` the accepted --algorithm values, the default first.
+    ``solve`` is the solver, or the name of the ``variants`` function it
+    is, called as ``solve(source, *flags, root=, stats=)``, plus
+    ``algorithm=`` when there are two engines; it returns None or
+    ``(objective, partition)``.  ``oracle`` names the ``oracle`` function
+    called as ``oracle(catalog, *flags)``.  ``source`` is the graph, which
+    the solver roots at ``--root``, or that tree when the output shows
+    it."""
 
     __slots__ = ()
 
 
 _LU, _LUP, _BOTH, _TUPLESET = ("l", "u"), ("l", "u", "p"), ("interval", "tupleset"), ("tupleset",)
-VARIANTS = {
-    "decide": _Variant(_LUP, (), _BOTH, _decide, _decide_oracle),
-    "solve": _Variant(_LUP, (), _BOTH, partial(_decide, witness=True), _decide_oracle),
-    "min": _Variant(
-        _LU, (), _BOTH,
-        lambda t, a, e, s: _load("variants").min_partition(
-            t, a.l, a.u, root=a.root, algorithm=e, stats=s
-        ),
-        lambda c, a: _load("oracle").oracle_min(c, a.l, a.u),
-    ),
-    "max": _Variant(
-        _LU, (), _BOTH,
-        lambda t, a, e, s: _load("variants").max_partition(
-            t, a.l, a.u, root=a.root, algorithm=e, stats=s
-        ),
-        lambda c, a: _load("oracle").oracle_max(c, a.l, a.u),
-    ),
-    "min-cost": _Variant(
-        _LU, ("p",), _TUPLESET,
-        lambda t, a, e, s: _load("variants").min_cost_partition(
-            t, a.l, a.u, a.p, root=a.root, stats=s
-        ),
-        lambda c, a: _load("oracle").oracle_min_cost(c, a.l, a.u, a.p),
-    ),
-    "minmax": _Variant(
-        _LUP, (), _TUPLESET,
-        lambda t, a, e, s: _load("variants").minmax_partition(
-            t, a.l, a.u, a.p, root=a.root, stats=s
-        ),
-        lambda c, a: _load("oracle").oracle_minmax(c, a.l, a.u, a.p),
-    ),
-    "maxmin": _Variant(
-        _LUP, (), _TUPLESET,
-        lambda t, a, e, s: _load("variants").maxmin_partition(
-            t, a.l, a.u, a.p, root=a.root, stats=s
-        ),
-        lambda c, a: _load("oracle").oracle_maxmin(c, a.l, a.u, a.p),
-    ),
+VARIANTS = {  # decide and solve run the count they are asked for; only solve walks
+    "decide": _Variant(_LUP, (), _BOTH, partial(_walk_count, witness=False), "oracle_decide"),
+    "solve": _Variant(_LUP, (), _BOTH, _walk_count, "oracle_decide"),
+    "min": _Variant(_LU, (), _BOTH, "min_partition", "oracle_min"),
+    "max": _Variant(_LU, (), _BOTH, "max_partition", "oracle_max"),
+    "min-cost": _Variant(_LUP, ("p",), _TUPLESET, "min_cost_partition", "oracle_min_cost"),
+    "minmax": _Variant(_LUP, (), _TUPLESET, "minmax_partition", "oracle_minmax"),
+    "maxmin": _Variant(_LUP, (), _TUPLESET, "maxmin_partition", "oracle_maxmin"),
     "capacity": _Variant(
-        ("lw", "uw", "uc"), (), _TUPLESET,
-        lambda t, a, e, s: _load("variants").capacity_partition(
-            t, a.lw, a.uw, a.uc, a.objective, root=a.root, stats=s
-        ),
-        lambda c, a: _load("oracle").oracle_capacity(c, a.lw, a.uw, a.uc, a.objective),
+        ("lw", "uw", "uc", "objective"), (), _TUPLESET, "capacity_partition", "oracle_capacity"
     ),
 }
 
@@ -177,13 +136,13 @@ def _check_flags(args) -> str | None:
     for flag in ("l", "u", "p", "lw", "uw", "uc"):
         value = getattr(args, flag)
         name = ("-" if len(flag) == 1 else "--") + flag
-        if flag in spec.required and value is None:
+        if flag in spec.flags and flag not in spec.optional and value is None:
             return f"variant {args.variant!r} requires {name}"
-        if flag not in spec.required + spec.optional and value is not None:
+        if flag not in spec.flags and value is not None:
             return f"flag {name} does not apply to variant {args.variant!r}"
     if args.algorithm is not None and args.algorithm not in spec.engines:
         return f"variant {args.variant!r} only supports the {' or '.join(spec.engines)} algorithm"
-    if args.objective != "min" and args.variant != "capacity":
+    if args.objective != "min" and "objective" not in spec.flags:
         return "--objective applies to the capacity variant only"
     return None
 
@@ -214,12 +173,15 @@ def _run_solve(args) -> int:
     cycles = graph.dfs[2]  # the cycle paths validation found, the same from any root
     spec = VARIANTS[args.variant]
     algorithm = args.algorithm or spec.engines[0]
-    if args.variant not in ("decide", "solve"):
-        _load("variants")  # before the timer: wall_ms times the solve, not the import
+    values = [getattr(args, flag) for flag in spec.flags]
+    options = {"algorithm": algorithm} if len(spec.engines) > 1 else {}
+    solve = spec.solve
+    if isinstance(solve, str):  # before the timer: wall_ms times the solve, not the import
+        solve = getattr(_load("variants"), solve)
     stats: dict = {}
     started = time.perf_counter()
     try:
-        answer = spec.solve(source, args, algorithm, stats)
+        answer = solve(source, *values, root=args.root, stats=stats, **options)
     except InvalidParamsError as exc:
         return _usage_error(str(exc))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -240,15 +202,16 @@ def _run_solve(args) -> int:
             "algorithm": algorithm,
         },
     }
-    if stats.get("reason"):  # decide/solve name why they found no partition
-        result["stats"]["reason"] = stats["reason"]
+    if not feasible:  # an early answer's reason, or the DP's
+        result["stats"]["reason"] = stats.get("reason", "no partition found by the DP")
     if args.oracle:
+        oracle = _load("oracle")
         try:
-            expected = spec.oracle(_load("oracle").enumerate_all(graph), args)
+            found = getattr(oracle, spec.oracle)(oracle.enumerate_all(graph), *values)
         except TooLargeError as exc:
             return _usage_error(str(exc))
-        agrees = feasible and objective == expected[0] if expected is not None else not feasible
-        result["oracle_agrees"] = agrees
+        expected = (None,) if found is True else found  # oracle_decide answers a bool
+        result["oracle_agrees"] = feasible and objective == expected[0] if expected else not feasible
     if args.dump_tree:
         result["tree"] = source.to_data()
     return _emit(result, 0 if feasible else 1)

@@ -138,7 +138,7 @@ def _infeasible(graph: CactusGraph, quantity: str, params: ProblemParams, exact:
     return None
 
 
-def _prepare(source, root, lower, upper, num_clusters=None, quantity="weight"):
+def _prepare(source, root, lower, upper, num_clusters=None, quantity="weight", stats=None):
     """Check the parameters, then ``root``, then the reasons of
     :func:`trivially_infeasible` over the vertices' ``quantity`` ("size"
     for minmax/maxmin), and build the tree only when none applies.
@@ -146,7 +146,8 @@ def _prepare(source, root, lower, upper, num_clusters=None, quantity="weight"):
     With ``num_clusters`` None the vertex count is a cap, which ``params``
     carries, and only a vertex above ``upper`` answers early: the sum
     bounds need an exact count.  Returns ``(tree, params, reason)``, the
-    tree None when there is a reason.  ``annotate`` and
+    tree None when there is a reason, which also goes to
+    ``stats["reason"]`` when ``stats`` is a dict.  ``annotate`` and
     ``interval_subtree_sets`` answer nothing early: they raise
     :class:`WeightExceedsUpperError` for a heavy vertex, and ``annotate``
     takes ``p > n``.
@@ -156,6 +157,8 @@ def _prepare(source, root, lower, upper, num_clusters=None, quantity="weight"):
     if num_clusters is None:
         params = params._replace(num_clusters=graph.num_vertices)
     reason = _infeasible(graph, quantity, params, exact=num_clusters is not None)
+    if reason and stats is not None:
+        stats["reason"] = reason
     return None if reason else as_tree(source, root), params, reason
 
 
@@ -525,18 +528,23 @@ def _mask_state_to_set(state) -> frozenset:
     )
 
 
-def state_cells(states, algorithm=None) -> int:
-    """Total size of a run's states (the CLI's ``stats.dp_cells``).
+def _record_cells(stats, states, algorithm=None) -> None:
+    """Add the total size of a run's states to ``stats["dp_cells"]``, the
+    one counter of the ``stats=`` dicts; nothing when ``stats`` is None.
 
     Counts set mask bits for the tuple-set engine, stored intervals for
     the interval engine (``algorithm`` "tupleset" / "interval") and keys
     for the dict algebras (``algorithm`` None).
     """
+    if stats is None:
+        return
     if algorithm == "tupleset":
-        return sum(mask.bit_count() for st in states.values() for mask in st.values())
-    if algorithm == "interval":
-        return sum(len(ivs) for st in states.values() for ivs in st.values())
-    return sum(len(st) for st in states.values())
+        cells = sum(mask.bit_count() for st in states.values() for mask in st.values())
+    elif algorithm == "interval":
+        cells = sum(len(ivs) for st in states.values() for ivs in st.values())
+    else:
+        cells = sum(len(st) for st in states.values())
+    stats["dp_cells"] = stats.get("dp_cells", 0) + cells
 
 
 def _check_leaf_weights(graph: CactusGraph, params: ProblemParams) -> None:

@@ -32,23 +32,22 @@ body, because perfbench's tracer wraps them per class.
 
 Every entry point takes a graph or a ``CactusTree`` built from one (its
 ``root`` argument is then ignored), so one tree can serve several solves,
-and starts with ``dp_core._prepare`` (over sizes for minmax/maxmin).
+and starts with ``dp_core._prepare`` (over sizes for minmax/maxmin); min
+and max are one run of ``backtrack._walk_count`` picking ``min`` or
+``max`` of the feasible counts.  ``stats``, when a dict, gets two keys:
+``dp_cells``, the summed state sizes of every DP run the call made
+(``dp_core._record_cells``), and ``reason``, the check that answered
+without a DP.  An answer the DP finds infeasible adds no reason.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .backtrack import _engine, annotate, collect_cuts, reconstruct
-from .dp_core import IdentityLift, _prepare, run_tree_dp, state_cells
+from .backtrack import _walk_count, collect_cuts
+from .dp_core import IdentityLift, _prepare, _record_cells, run_tree_dp
 from .errors import InvalidParamsError
 from .graph_model import canonicalize_partition
-
-
-def _record_cells(stats, states, algorithm=None):
-    """Add the states' size (see :func:`state_cells`) to ``stats``."""
-    if stats is not None:
-        stats["dp_cells"] = stats.get("dp_cells", 0) + state_cells(states, algorithm)
 
 
 class _BestPerKey(IdentityLift):
@@ -109,27 +108,12 @@ def min_partition(graph, lower, upper, root=None, algorithm="interval", stats=No
     Returns ``(count, partition)`` or None when no partition fits the
     weight window.
     """
-    return _extreme_partition(graph, lower, upper, root, algorithm, True, stats)
+    return _walk_count(graph, lower, upper, None, root, algorithm, stats, pick=min)
 
 
 def max_partition(graph, lower, upper, root=None, algorithm="interval", stats=None):
     """Most clusters of any valid partition, with a witness."""
-    return _extreme_partition(graph, lower, upper, root, algorithm, False, stats)
-
-
-def _extreme_partition(graph, lower, upper, root, algorithm, minimize, stats=None):
-    _engine(algorithm)  # an unknown engine is an error, also when answered early
-    tree, params, reason = _prepare(graph, root, lower, upper)
-    if reason:
-        return None
-    run = annotate(tree, params, algorithm)
-    _record_cells(stats, run.states, algorithm)
-    feasible = run.feasible_counts()
-    if not feasible:
-        return None
-    count = min(feasible) if minimize else max(feasible)
-    # the count-cap-n states hold every smaller count's states unchanged
-    return count, reconstruct(run._replace(params=params._replace(num_clusters=count)))
+    return _walk_count(graph, lower, upper, None, root, algorithm, stats, pick=max)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +195,7 @@ def min_cost_partition(graph, lower, upper, num_clusters=None, root=None, stats=
     ``num_clusters`` given, only partitions of exactly that size count.
     Returns ``(cost, partition)`` or None.
     """
-    tree, params, reason = _prepare(graph, root, lower, upper, num_clusters)
+    tree, params, reason = _prepare(graph, root, lower, upper, num_clusters, stats=stats)
     if reason:
         return None
     alg = CostAlgebra(tree.graph, lower, upper, params.num_clusters)
@@ -300,7 +284,7 @@ def minmax_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     with the bracket on one value, the weight of the partition returned.
     Every probe runs on the same tree.
     """
-    tree, _params, reason = _prepare(graph, root, lower, upper, num_clusters, "size")
+    tree, _params, reason = _prepare(graph, root, lower, upper, num_clusters, "size", stats)
     if reason:
         return None
     total = tree.graph.total_weight
@@ -329,7 +313,7 @@ def maxmin_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     it move the lower end up to the lightest cluster of the partition
     they returned.
     """
-    tree, _params, reason = _prepare(graph, root, lower, upper, num_clusters, "size")
+    tree, _params, reason = _prepare(graph, root, lower, upper, num_clusters, "size", stats)
     if reason:
         return None
     hi = tree.graph.total_weight // num_clusters
@@ -446,7 +430,7 @@ def capacity_partition(
         raise InvalidParamsError(f"objective must be 'min' or 'max', got {objective!r}")
     if not isinstance(capacity_upper, int) or isinstance(capacity_upper, bool) or capacity_upper < 0:
         raise InvalidParamsError("capacity bound must be a non-negative integer")
-    tree, _params, reason = _prepare(graph, root, weight_lower, weight_upper)
+    tree, _params, reason = _prepare(graph, root, weight_lower, weight_upper, stats=stats)
     if reason:
         return None
     alg = CapacityAlgebra(tree.graph, weight_lower, weight_upper, capacity_upper)

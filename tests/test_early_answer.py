@@ -332,7 +332,28 @@ def test_cli_names_the_reason_of_an_infeasible_answer(variant, engine, tmp_path,
     assert code == 0 and set(result["stats"]) == keys
 
 
-def test_cli_other_variants_add_no_reason(tmp_path, capsys):
+HEAVY = "a vertex weight exceeds the upper bound"
+VARIANT_REASONS = {  # (early flags, their reason, flags only the DP answers) on triangle((2, 2, 2))
+    "min": (("-l", "0", "-u", "1"), HEAVY, ("-l", "5", "-u", "5")),
+    "max": (("-l", "0", "-u", "1"), HEAVY, ("-l", "5", "-u", "5")),
+    "min-cost": (("-l", "0", "-u", "1", "-p", "2"), HEAVY, ("-l", "3", "-u", "3", "-p", "2")),
+    "minmax": (("-l", "0", "-u", "6", "-p", "4"), "more clusters requested than vertices",
+               ("-l", "3", "-u", "3", "-p", "2")),
+    "maxmin": (("-l", "4", "-u", "6", "-p", "2"), LOWER_SIZE_SUM, ("-l", "3", "-u", "3", "-p", "2")),
+    "capacity": (("--lw", "0", "--uw", "1", "--uc", "5"), HEAVY, ("--lw", "5", "--uw", "5", "--uc", "5")),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_REASONS))
+def test_cli_every_variant_names_its_reason(variant, tmp_path, capsys):
+    """Every infeasible answer names its reason: the early answer's, read
+    from the library's ``stats``, or the DP's."""
     g = triangle((2, 2, 2))
-    code, result = _cli(tmp_path, capsys, g, "--variant", "min", "-l", "5", "-u", "5")
-    assert code == 1 and "reason" not in result["stats"]
+    early, reason, by_dp = VARIANT_REASONS[variant]
+    code, result = _cli(tmp_path, capsys, g, "--variant", variant, *early)
+    assert code == 1 and result["feasible"] is False
+    assert result["stats"]["reason"] == reason and result["stats"]["dp_cells"] == 0
+    code, result = _cli(tmp_path, capsys, g, "--variant", variant, *by_dp)
+    assert code == 1 and result["feasible"] is False
+    assert result["stats"]["reason"] == "no partition found by the DP"
+    assert result["stats"]["dp_cells"] > 0

@@ -116,16 +116,21 @@ def annotate(
     """Run the tuple-set or the interval engine (``algorithm``) and keep
     what :func:`reconstruct` needs.  An unknown ``algorithm`` raises
     ``ValueError`` before anything else is checked."""
-    algebra, rule = _engine(algorithm)
+    rule = _engine(algorithm)[1]
     tree = as_tree(graph, root)
     _check_leaf_weights(tree.graph, params)
     folds = {}
-    states = run_tree_dp(tree, algebra(tree.graph, params), fold_sink=_keeper(rule, folds))
-    root_state = states[(tree.root, tree.full_index(tree.root))]
-    if algorithm == "tupleset":
-        root_state = _mask_state_to_set(root_state)
-    else:
-        root_state = {k: tuple(IEntry(lo, hi) for lo, hi in ivs) for k, ivs in root_state.items()}
+    return _run(tree, params, algorithm, _keeper(rule, folds), folds)
+
+
+def _run(tree, params, algorithm, fold_sink=None, folds=None) -> AnnotatedRun:
+    """The run of engine ``algorithm`` over ``tree``, with the folds
+    ``fold_sink`` keeps in ``folds``: :func:`annotate`'s, or with neither
+    a run that no walk reads (the CLI's decide), which keeps no fold."""
+    states = run_tree_dp(tree, _engine(algorithm)[0](tree.graph, params), fold_sink=fold_sink)
+    root = states[(tree.root, tree.full_index(tree.root))]
+    root_state = _mask_state_to_set(root) if algorithm == "tupleset" else {
+        k: tuple(IEntry(lo, hi) for lo, hi in ivs) for k, ivs in root.items()}
     return AnnotatedRun(tree, params, algorithm, states, root_state, folds)
 
 
@@ -144,7 +149,7 @@ def _walk_count(source, lower, upper, num_clusters=None, root=None, algorithm="i
     tree, params, reason = _prepare(source, root, lower, upper, num_clusters, stats=stats)
     if reason:
         return None
-    run = annotate(tree, params, algorithm)
+    run = annotate(tree, params, algorithm) if witness else _run(tree, params, algorithm)
     _record_cells(stats, run.states, algorithm)
     feasible = run.feasible_counts()
     count = params.num_clusters if pick is None else pick(feasible, default=None)
@@ -164,9 +169,9 @@ def _keeper(rule, folds: dict):
         states, kept = folds[start] = [], []
         may_enter = rule()
 
-        def keep(_j, joined, chains):
-            states.append(joined[-1])
-            kept.append((joined, chains) if may_enter(joined[-1]) else None)
+        def keep(state, chains):
+            states.append(state)
+            kept.append(chains if may_enter(state) else None)
         return keep
     return open_cycle
 

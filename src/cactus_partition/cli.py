@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--lw", type=int, default=None, help="lower cluster weight (capacity variant)")
     solve.add_argument("--uw", type=int, default=None, help="upper cluster weight (capacity variant)")
     solve.add_argument("--uc", type=int, default=None, help="upper cluster capacity")
-    solve.add_argument("--objective", choices=("min", "max"), default="min",
-                       help="cluster-count objective of the capacity variant")
+    solve.add_argument("--objective", choices=("min", "max"), default=None,
+                       help="cluster-count objective of the capacity variant (default: min)")
     solve.add_argument("--algorithm", choices=("tupleset", "interval"), default=None)
     solve.add_argument("--root", default=None, help="override the DFS root vertex")
     solve.add_argument("--oracle", action="store_true",
@@ -142,7 +142,7 @@ def _check_flags(args) -> str | None:
             return f"flag {name} does not apply to variant {args.variant!r}"
     if args.algorithm is not None and args.algorithm not in spec.engines:
         return f"variant {args.variant!r} only supports the {' or '.join(spec.engines)} algorithm"
-    if args.objective != "min" and "objective" not in spec.flags:
+    if args.objective is not None and "objective" not in spec.flags:
         return "--objective applies to the capacity variant only"
     return None
 
@@ -173,6 +173,7 @@ def _run_solve(args) -> int:
     cycles = graph.dfs[2]  # the cycle paths validation found, the same from any root
     spec = VARIANTS[args.variant]
     algorithm = args.algorithm or spec.engines[0]
+    args.objective = args.objective or "min"  # capacity's, when --objective is absent
     values = [getattr(args, flag) for flag in spec.flags]
     options = {"algorithm": algorithm} if len(spec.engines) > 1 else {}
     solve = spec.solve

@@ -74,7 +74,7 @@ from collections import namedtuple
 
 from .errors import InvalidParamsError, WeightExceedsUpperError, WitnessNotFoundError
 from .graph_model import CactusGraph, edge_key
-from .tree_rep import CactusTree, absent_cycle_edge, as_tree, graph_of
+from .tree_rep import CactusTree, as_tree, graph_of
 
 
 class ProblemParams(namedtuple("ProblemParams", "lower upper num_clusters")):
@@ -170,44 +170,44 @@ def run_tree_dp(tree, alg, *, frontier=False, fold_sink=None):
     """Fold ``alg`` bottom-up over the tree, returning its partial states.
 
     The result maps ``(v, i)`` to the algebra state of the subtree made of
-    ``v`` and its first ``i`` children.  By default it holds every such
-    state, as the witness walks, the variants and
-    ``interval_subtree_sets`` need.  With ``frontier`` (the deciders) no
-    intermediate ``(v, i)`` is stored and a node's full state is dropped
-    once it is combined into its parent or folded into its cycle: the run
-    holds only the states still to be combined, and the result holds the
-    root's context alone, with the same state.  ``fold_sink`` is called
-    at each cycle with its tree context ``(v, i)`` and returns the
-    ``keep`` that :func:`_fold_configurations` hands each of its
-    configurations, ``1..cycle_cutoff(alg, cycle)``, as it is folded.
+    ``v`` and its first ``i`` children, in postorder.  Each mode builds:
+
+    * by default, every such state, as the witness walks, the variants
+      and ``interval_subtree_sets`` need;
+    * with ``frontier`` (the deciders), only the states still to be
+      combined: a node's full state is dropped once its parent or its
+      cycle takes it, and the result holds the root's context alone;
+    * with ``fold_sink``, also the folds it keeps: it is called at each
+      cycle with its tree context ``(v, i)`` and returns the ``keep``
+      that :func:`_fold_configurations` hands each configuration
+      ``1..cycle_cutoff(alg, cycle)``.  Without it, a fold builds no
+      chain state but the one it is folding.
+
+    Every mode makes the same ``combine`` and ``union_configs`` calls.
     """
-    sets = {}
-    take = sets.pop if frontier else sets.__getitem__
+    sets, full = {}, {}  # full: v's full subtree state, until it is combined
+    take = full.pop if frontier else full.__getitem__
+    cycle_at, on_cycle_child, combine = tree.cycle_at, tree.on_cycle_child, alg.combine
     for v in tree.postorder():
         state = alg.base(v)
         kids = tree.children[v]
-        on_cyc = tree.on_cycle_child.get(v)
+        if v in on_cycle_child:  # that last child joins at its cycle's start node instead
+            kids = kids[:-1]
         for idx, child in enumerate(kids, start=1):
             if not frontier:
                 sets[(v, idx - 1)] = state
-            cyc = tree.cycle_at.get((v, idx))
+            cyc = cycle_at.get((v, idx)) if cycle_at else None
             if cyc is not None:  # the union of configurations 1..J
-                js = range(1, cycle_cutoff(alg, cyc) + 1)
-                owns = [None] + [sets[(node, tree.full_index(node))] for node in cyc.path[1:]]
-                if frontier:
-                    for node in cyc.path[1:]:
-                        del sets[(node, tree.full_index(node))]
+                owns = [None, *map(take, cyc.path[1:])]
                 keep = None if fold_sink is None else fold_sink((v, idx))
-                configs = _fold_configurations(alg, cyc, js, owns, state, keep)
-                state = alg.union_configs(configs, cyc)
-            elif child == on_cyc:
-                # combined at the cycle's start node instead; must be last
-                assert idx == len(kids)
-            else:
-                child_state = take((child, tree.full_index(child)))
-                state = alg.combine(state, child_state, edge_key(v, child), None)
-        sets[(v, tree.full_index(v))] = state
-    return sets
+                js = range(1, cycle_cutoff(alg, cyc) + 1)
+                state = alg.union_configs(_fold_configurations(alg, cyc, js, owns, state, keep), cyc)
+            else:  # the edge is edge_key(v, child)
+                state = combine(state, take(child), (v, child) if v <= child else (child, v), None)
+        full[v] = state
+        if not frontier:
+            sets[(v, len(kids))] = state
+    return {(tree.root, tree.full_index(tree.root)): full[tree.root]} if frontier else sets
 
 
 def cycle_cutoff(alg, cyc):
@@ -240,51 +240,61 @@ def _fold_configurations(alg, cyc, js, owns, start_state, keep=None):
     them via ``lift(..., charged=True)``.  The chain tops are then joined
     into the lifted start state, through the edge to the first path child
     and through the closing edge.  ``owns[i]`` is the full state of the
-    path node at position i (None for the start node).
+    path node at position i (None for the start node).  The chain edges
+    and each configuration's absent edge come from one ``edges`` list.
 
     Returns ``(j, step, state)`` per configuration, its state joined and
-    stripped.  ``keep``, when given, gets ``(j, joined, chains)`` as each
-    configuration is folded, so what it does not keep is freed at once.
-    ``chains`` lists ``(edge, positions, states)`` in joining order:
-    ``edge`` joins the chain top to the start node, ``positions`` are the
-    chain's path positions from the bottom up, and ``states[t]`` is the
-    chain folded up to ``positions[t]``.  ``joined[0]`` is the lifted start
-    state and ``joined[n]`` the state after chain n - 1 has joined it.
+    stripped; without ``keep`` a configuration builds nothing more.
+    ``keep``, when given, gets ``(state, chains)`` as each configuration
+    is folded (``state`` not yet stripped), so what it does not keep is
+    freed at once.  ``chains`` is a tuple of ``(edge, positions, states,
+    before)`` in joining order: ``edge`` joins the chain's top to
+    ``before``, the start side's state (the lifted start state, then that
+    joined with the first chain); ``positions`` are the chain's path
+    positions from the bottom up, and the tuple ``states[t]`` is the
+    chain folded up to ``positions[t]``.
     """
-    ws = cyc.path
-    m = len(ws)
-    edges = [edge_key(ws[i], ws[i + 1]) for i in range(m - 1)]  # edges[i]: positions i, i + 1
+    m = len(cyc.path)
+    edges = [edge_key(a, b) for a, b in zip(cyc.path, cyc.path[1:])]  # edges[i]: positions i, i + 1
     closing = cyc.closing_edge
     lifts = type(alg).lift is not IdentityLift.lift
     combine = alg.combine
     out = []
     for j in js:
-        step = CycleStep(cyc, j, absent_cycle_edge(cyc, j))
+        step = CycleStep(cyc, j, closing if j == 1 else edges[m - j])
         low, high = (m - 1 if j == 1 else m - j), m - j + 1  # chain bottoms; 0, m: no chain
         own, state = owns, start_state
         if lifts:
             own = [None] + [alg.lift(owns[i], step, i in (low, high)) for i in range(1, m)]
             state = alg.lift(start_state, step, j in (1, m))
-        joined, chains = [state], []
+        chains = [] if keep else None
         if low:  # the path under the first path child, bottom up
-            states = [own[low]]
+            top = own[low]
+            states = [top] if keep else None
             for i in range(low - 1, 0, -1):
-                states.append(combine(own[i], states[-1], edges[i], step))
-            chains.append((edges[0], range(low, 0, -1), states))
-            joined.append(combine(state, states[-1], edges[0], step))
+                top = combine(own[i], top, edges[i], step)
+                if keep:
+                    states.append(top)
+            if keep:
+                chains.append((edges[0], range(low, 0, -1), tuple(states), state))
+            state = combine(state, top, edges[0], step)
         if high < m:  # the reversed tail off the closing edge, bottom up
-            states = [own[high]]
+            top = own[high]
+            states = [top] if keep else None
             for i in range(high + 1, m):
-                states.append(combine(own[i], states[-1], edges[i - 1], step))
-            chains.append((closing, range(high, m), states))
-            joined.append(combine(joined[-1], states[-1], closing, step))
-        if keep is not None:
-            keep(j, joined, chains)
-        out.append((j, step, alg.strip(joined[-1], step) if lifts else joined[-1]))
+                top = combine(own[i], top, edges[i - 1], step)
+                if keep:
+                    states.append(top)
+            if keep:
+                chains.append((closing, range(high, m), tuple(states), state))
+            state = combine(state, top, closing, step)
+        if keep:
+            keep(state, tuple(chains))
+        out.append((j, step, alg.strip(state, step) if lifts else state))
     return out
 
 
-class ContextMap:
+class ContextMap(namedtuple("ContextMap", "tree states folds")):
     """Every state of a finished run, named, with the parts it was combined from.
 
     A context is ``(v, i)`` for a tree state (the keys of
@@ -299,15 +309,12 @@ class ContextMap:
     :meth:`config_states`, the configurations 1..J the run folded
     (:func:`cycle_cutoff`).  Nothing is recomputed: ``folds`` maps each
     cycle's start context to ``(states, kept)``, lists in order of ``j``:
-    the configurations' states, and the ``(joined, chains)`` that
+    the configurations' states, and the ``chains`` that
     :func:`_fold_configurations` gave for each, or None for one no walk
     enters.  ``lift`` and ``strip`` must be the identity.
     """
 
-    def __init__(self, tree: CactusTree, states, folds):
-        self.tree = tree
-        self.states = states
-        self.folds = folds
+    __slots__ = ()
 
     def full(self, v):
         """The context of ``v``'s full subtree state."""
@@ -329,19 +336,18 @@ class ContextMap:
             edge = edge_key(v, child[0])
             return (v, i - 1), self.states[(v, i - 1)], child, self.states[child], edge
         start, j, n = ctx[:3]
-        fold = self.folds[start][1][j - 1]
-        if fold is None:
+        chains = self.folds[start][1][j - 1]
+        if chains is None:
             raise WitnessNotFoundError(f"configuration {j} at {start!r} was not kept")
-        joined, chains = fold
         path = self.tree.cycle_at[start].path
-        if len(ctx) == 3:  # chain c's top joined into the start state
+        if len(ctx) == 3:  # chain c's top joined into the start side
             c = len(chains) - 1 if n is None else n - 1
-            edge, positions, chain = chains[c]
+            edge, positions, chain, a = chains[c]
             a_ctx = (start[0], start[1] - 1) if c == 0 else (start, j, c)
-            a, t = joined[c], len(chain)
+            t = len(chain)
         else:  # the t-th node of chain c joined to the chain below it
             c, t = n, ctx[3]
-            _edge, positions, chain = chains[c]
+            _edge, positions, chain, _a = chains[c]
             node = path[positions[t]]
             a_ctx = self.full(node)
             a = self.states[a_ctx]
@@ -568,6 +574,6 @@ def decide_p_partition(
     if reason:
         return False
     alg = MaskAlgebra(tree.graph, params)
-    states = run_tree_dp(tree, alg, frontier=True)
-    mask = states[(tree.root, tree.full_index(tree.root))].get(params.num_clusters, 0)
+    (state,) = run_tree_dp(tree, alg, frontier=True).values()  # the root's alone
+    mask = state.get(params.num_clusters, 0)
     return bool(mask & alg.window_mask)

@@ -222,7 +222,6 @@ def decide_p_partition_poly(
     tree, params, reason = _prepare(graph, root, *params)
     if reason:
         return False
-    states = run_tree_dp(tree, IntervalAlgebra(tree.graph, params), frontier=True)
-    state = states[(tree.root, tree.full_index(tree.root))]
+    (state,) = run_tree_dp(tree, IntervalAlgebra(tree.graph, params), frontier=True).values()
     lower, upper = params.lower, params.upper
     return any(lo <= upper and hi >= lower for lo, hi in state.get(params.num_clusters, ()))

@@ -52,11 +52,12 @@ def configuration_state(alg, cyc, j, owns, start_state):
 
 def fold_configuration(alg, step, owns, start_state):
     """``(joined, chains)`` of configuration ``step.j``, before its last
-    join (see :func:`_fold_configurations`)."""
+    join: ``joined[c]`` is the start side that chain ``c``, ``(edge,
+    positions, states)``, joins (see :func:`_fold_configurations`)."""
     folds = []
     _fold_configurations(alg, step.cycle, (step.j,), owns, start_state,
-                         lambda _j, joined, chains: folds.append((joined[:-1], chains)))
-    return folds[0]
+                         lambda _state, chains: folds.append(chains))
+    return [chain[3] for chain in folds[0]], [chain[:3] for chain in folds[0]]
 
 
 def keep_every_fold(folds: dict):

@@ -294,9 +294,9 @@ def test_a_state_breaking_the_contract_raises():
                                fold_sink=_keeper(_plain_entered, folds))
         root = recorded[(tree.root, tree.full_index(tree.root))]
         plain_folds = {
-            start: ([_plain_state(state) for state in states], [fold and (
-                [_plain_state(s) for s in fold[0]],
-                [(edge, positions, [_plain_state(s) for s in chain]) for edge, positions, chain in fold[1]],
+            start: ([_plain_state(state) for state in states], [fold and tuple(
+                (edge, positions, tuple(_plain_state(s) for s in chain), _plain_state(before))
+                for edge, positions, chain, before in fold
             ) for fold in kept])
             for start, (states, kept) in folds.items()
         }

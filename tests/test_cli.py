@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cactus_partition
-from cactus_partition import tree_rep, validate_cactus
+from cactus_partition import backtrack, tree_rep, validate_cactus
 from cactus_partition.cli import run
 
 from util import random_graph
@@ -272,3 +272,71 @@ def test_one_tree_per_request(variant, extra, feasible, builds, graph_file, caps
     code, result = _solve(capsys, "--variant", variant, *flags, graph_file(doc))
     assert code == (0 if feasible else 1) and result["feasible"] is feasible
     assert len(calls) == builds
+
+
+def _readme_graph(tmp_path, capsys):
+    """The README's ``gen -n 12 --cycle-density 0.4 --seed 7`` graph, as a file."""
+    assert run(["gen", "-n", "12", "--cycle-density", "0.4", "--seed", "7"]) == 0
+    target = tmp_path / "g.json"
+    target.write_text(capsys.readouterr().out)
+    return str(target)
+
+
+@pytest.mark.parametrize("objective", ["min", "max"])
+def test_objective_applies_to_capacity_only(objective, tmp_path, capsys):
+    """``--objective min`` on another variant is rejected as ``max`` is:
+    the flag has no default that could hide it."""
+    code = run(["solve", "--variant", "min", "-l", "2", "-u", "12", "--objective", objective,
+                _readme_graph(tmp_path, capsys)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --objective applies to the capacity variant only\n"
+
+
+def test_capacity_objective_is_min_when_absent(tmp_path, capsys):
+    target = _readme_graph(tmp_path, capsys)
+    results = {}
+    for objective in (None, "min", "max"):
+        extra = [] if objective is None else ["--objective", objective]
+        code, result = _solve(capsys, "--variant", "capacity", "--lw", "1", "--uw", "12", "--uc", "3",
+                              *extra, target)
+        del result["stats"]["wall_ms"]
+        results[objective] = code, result
+    assert results[None] == results["min"] != results["max"]
+    assert results[None][0] == 0
+
+
+@pytest.mark.parametrize("algorithm, upper, cells", [
+    ("interval", 20, 24), ("tupleset", 20, 26), ("interval", 17, 22), ("tupleset", 17, 23),
+])
+def test_decide_keeps_no_fold(algorithm, upper, cells, tmp_path, capsys, monkeypatch):
+    """The CLI's decide walks no witness, so its run keeps no fold: no
+    keeper and no ``fold_sink``.  ``dp_cells`` counts the same full run's
+    states as before (the pinned values).  Its solve still keeps them."""
+    target = _readme_graph(tmp_path, capsys)
+    keeper, run_tree_dp = backtrack._keeper, backtrack.run_tree_dp
+    keepers, sinks = [], []
+
+    def counted_keeper(*args):
+        keepers.append(args)
+        return keeper(*args)
+
+    def spied_run(tree, alg, **options):
+        sinks.append(options.get("fold_sink"))
+        return run_tree_dp(tree, alg, **options)
+
+    monkeypatch.setattr(backtrack, "_keeper", counted_keeper)
+    monkeypatch.setattr(backtrack, "run_tree_dp", spied_run)
+    feasible = upper == 20  # [5, 17] holds no 3 clusters of this graph
+    for variant in ("decide", "solve"):
+        keepers.clear()
+        sinks.clear()
+        code, result = _solve(capsys, "--variant", variant, "-l", "5", "-u", str(upper), "-p", "3",
+                              "--algorithm", algorithm, target)
+        assert code == (0 if feasible else 1) and result["feasible"] is feasible
+        assert result["stats"]["dp_cells"] == cells
+        assert len(sinks) == 1
+        if variant == "decide":
+            assert keepers == [] and sinks == [None]
+        else:
+            assert len(keepers) == 1 and sinks[0] is not None

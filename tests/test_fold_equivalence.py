@@ -6,7 +6,8 @@ configuration states (``run_with_configs``), the same combine counts and,
 for the recorded algebras, the same witness cuts; and for every
 configuration j = 1..m of every cycle, ``m`` included, the same
 ``configuration_state`` and the same ``(joined, chains)`` from
-``fold_configuration``.
+``fold_configuration``.  The three modes of ``run_tree_dp`` (frontier,
+full, and full with a ``fold_sink``) must make the same algebra calls.
 """
 
 import random
@@ -16,12 +17,14 @@ import pytest
 
 from cactus_partition import ProblemParams, build_tree
 from cactus_partition.backtrack import collect_cuts
-from cactus_partition.dp_core import CycleStep, MaskAlgebra, TupleAlgebra
+from cactus_partition.dp_core import CycleStep, MaskAlgebra, TupleAlgebra, run_tree_dp
 from cactus_partition.interval_dp import IntervalAlgebra
 from cactus_partition.tree_rep import absent_cycle_edge
 from cactus_partition.variants import CapacityAlgebra, CostAlgebra, SizeWeightAlgebra
 
-from dp_reference import configuration_state, cycle_node_states, fold_configuration, run_with_configs
+from dp_reference import (
+    configuration_state, cycle_node_states, fold_configuration, keep_every_fold, run_with_configs,
+)
 from util import random_graph, rings_and_necklaces
 
 ALGEBRAS = ("mask", "interval", "tuple", "cost", "sizeweight", "capacity")
@@ -134,3 +137,48 @@ def test_one_pass_fold_matches_the_per_configuration_fold(name, monkeypatch):
                 )
                 folds += 1
     assert configs > 100 and folds > 400
+
+
+def _calls(monkeypatch, kind):
+    """Record every ``combine`` and ``union_configs`` call of algebra
+    class ``kind``: whether a combine had a ``step``, and the
+    configurations a union got, with their states, and what it gave."""
+    calls = []
+    combine, union = kind.combine, kind.union_configs
+
+    def combining(self, a, b, edge, step):
+        calls.append(("combine", step is not None))
+        return combine(self, a, b, edge, step)
+
+    def uniting(self, configs, cycle):
+        out = union(self, configs, cycle)
+        calls.append(("union", cycle, [(j, step, _plain(state)) for j, step, state in configs], _plain(out)))
+        return out
+
+    monkeypatch.setattr(kind, "combine", combining)
+    monkeypatch.setattr(kind, "union_configs", uniting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_every_mode_makes_the_same_algebra_calls(name, monkeypatch):
+    """The frontier run, the full run and the run with a ``fold_sink``
+    make the same ``combine`` calls, as many with a ``step``, and hand
+    ``union_configs`` the same configurations, in the same order:
+    perfbench's tracer counts ``combines``, ``cycle_combines`` and
+    ``config_yield`` from these calls, whatever the mode."""
+    calls = None
+    cycle_combines = unions = 0
+    for case, (g, lower, upper, p, bound, cap) in enumerate(_corpus()):
+        tree = build_tree(g)
+        alg = _algebra(name, g, lower, upper, p, bound, cap, maximize=case % 2 == 1)
+        calls = calls if calls is not None else _calls(monkeypatch, type(alg))
+        modes = []
+        for options in ({"frontier": True}, {}, {"fold_sink": keep_every_fold({})}):
+            calls.clear()
+            run_tree_dp(tree, alg, **options)
+            modes.append(list(calls))
+        assert modes[0] == modes[1] == modes[2], (name, case)
+        cycle_combines += sum(call == ("combine", True) for call in modes[0])
+        unions += sum(call[0] == "union" for call in modes[0])
+    assert cycle_combines > 1000 and unions > 100

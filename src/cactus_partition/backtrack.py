@@ -33,20 +33,26 @@ combination that produced the interval it needs and meets the window,
 recomputed there: the lowest raw interval of the merge group, in ``(lo,
 hi)`` order, and its first producing pair of parent and child intervals
 (child count ascending, then child interval, cut before merge), or at a
-cycle's start the lowest ``(interval, j)`` of the configurations.  A cut
-child's cluster gets the window ``[lower, upper]``.  In a merge with
-child interval ``[b, b']`` the parent side gets ``[lo - b', hi - b]`` and,
+cycle's start the lowest ``(interval, j)`` of the configurations.  The
+walk only descends, and it adds a cycle's absent edge and a cut's edge
+to the cut set as it picks them.  A cut child's cluster gets the window
+``[lower, upper]`` and is walked on its own, as nothing above reads its
+weight; the parent side goes on in place.  In a merge with child
+interval ``[b, b']`` the parent side gets ``[lo - b', hi - b]`` and,
 once its weight x is fixed, the child side ``[lo - x, hi - x]`` (both
-clipped at 0).  This is the first solution of a depth-first search in
-that order, the one a recorded interval algebra's records give, found
-without backing up.  Every window is ``[lower, upper]``, or another
-window shifted or widened and then clipped at 0, so it is at least
-``gap`` wide or starts at 0.  The raw intervals of a merge group step at
-most ``gap`` apart from its lower end to its upper end, so a stored
-interval meeting such a window has a raw interval meeting it, and the
-first one's parent and child intervals meet the windows set for them;
-down to the leaves, the first candidate always has a realisation.  A
-state that breaks this raises :class:`WitnessNotFoundError`.
+clipped at 0), so a merge alone waits for a weight.  A choice depends
+only on the task it is made for, and only a merge's child window on a
+weight realised before it, so the cut set is that of the first solution
+of a depth-first search in that order, the one a recorded interval
+algebra's records give, found without backing up.  Every window is
+``[lower, upper]``, or another window shifted or widened and then
+clipped at 0, so it is at least ``gap`` wide or starts at 0.  The raw
+intervals of a merge group step at most ``gap`` apart from its lower end
+to its upper end, so a stored interval meeting such a window has a raw
+interval meeting it, and the first one's parent and child intervals meet
+the windows set for them; down to the leaves, the first candidate always
+has a realisation.  A state that breaks this raises
+:class:`WitnessNotFoundError`.
 """
 
 from __future__ import annotations
@@ -296,11 +302,11 @@ def collect_cuts(state: dict, key) -> set:
 
 
 def _first_candidate(a, b, k, e_lo, e_hi, lo, hi, lower, upper):
-    """``(raw, (cut, k1, a_iv, k2, b_iv))``, the combination the walk takes
-    at count ``k`` of ``combine(a, b)``: the lowest raw interval in the
+    """``(cut, k1, a_iv, k2, b_iv)``, the combination the walk takes at
+    count ``k`` of ``combine(a, b)``: of the lowest raw interval in the
     merge group of stored interval ``[e_lo, e_hi]`` meeting the window
-    ``[lo, hi]``, and the first pair of parent and child intervals making
-    it; None if there is none."""
+    ``[lo, hi]``, the first pair of parent and child intervals making it;
+    None if there is none."""
     best = None
     top = min(e_hi, upper, hi)
     for k2, ivs_b in b.items():
@@ -323,7 +329,7 @@ def _first_candidate(a, b, k, e_lo, e_hi, lo, hi, lower, upper):
                     if best is None or raw < best[0]:
                         best = (raw, (False, k - k2 + 1, a_iv, k2, b_iv))
                     break
-    return best
+    return best and best[1]
 
 
 def _interval_entered():
@@ -348,80 +354,57 @@ def _interval_entered():
     return holds_new
 
 
-def _cut_edges(cuts) -> set:
-    """Flatten a cut tree ``(edge or None, left, right)`` into a set of edges."""
-    out: set = set()
-    stack = [cuts]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            edge, left, right = node
-            if edge is not None:
-                out.add(edge)
-            stack += (left, right)
-    return out
-
-
-# what the walk does once a task is realised, on the stack in tuples led by
-_WRAP = 0  # (edge, cuts, dx): add dx and a cut-tree node to the realisation
-_CLUSTER = 1  # (edge, a_task): the child's cluster is complete; realise the parent side
-_MERGE = 2  # (b_ctx, k2, b_lo, b_hi, lo, hi): the parent side is realised; now the child side
-
-
-def _interval_witness(run: AnnotatedRun, task):
-    """Realise ``task`` ``(ctx, k, e_lo, e_hi, lo, hi)``: a weight ``x`` in
-    ``[lo, hi]`` of stored interval ``[e_lo, e_hi]`` at count ``k`` of the
-    state at ``ctx``, and a cut tree for :func:`_cut_edges` of a partition
-    making it, the first in the walk's order (module docstring)."""
+def _interval_witness(run: AnnotatedRun, task) -> set:
+    """The cut edges of a partition realising ``task`` ``(ctx, k, e_lo,
+    e_hi, lo, hi)``, a weight in ``[lo, hi]`` of stored interval ``[e_lo,
+    e_hi]`` at count ``k`` of the state at ``ctx``: the first in the
+    walk's order (module docstring)."""
     tree, params = run.tree, run.params
     weight, cycle_at, lower, upper = tree.graph.weight, tree.cycle_at, params.lower, params.upper
     contexts = ContextMap(tree, run.states, run.folds)
-    stack: list = []
+    cuts: set = set()
+    clusters: list = []  # the tasks of cut-off clusters, whose weights nothing reads
+    frames: list = []  # per merge under way: the weight to add, or the child side's task
     while True:
         ctx, k, e_lo, e_hi, lo, hi = task
         if len(ctx) == 2 and ctx[1] == 0:  # a leaf: its weight meets the window
-            got = (weight[ctx[0]], None)  # (every task's interval meets its window)
-        else:
-            if len(ctx) == 2 and ctx in cycle_at:
-                found = min(((iv, j) for j, state in contexts.config_states(ctx) for iv in state.get(k, ())
-                             if e_lo <= iv[0] <= min(e_hi, hi) and iv[1] >= lo), default=None)
-                if found:
-                    (r_lo, r_hi), j = found
-                    stack.append((_WRAP, absent_cycle_edge(cycle_at[ctx], j), None, 0))
-                    task = ((ctx, j, None), k, r_lo, r_hi, lo, hi)
+            x = weight[ctx[0]]  # (every task's interval meets its window)
+            while frames and type(frames[-1]) is int:
+                x += frames.pop()
+            if frames:  # a merge's parent side weighs x: that fixes the child side's window
+                b_ctx, k2, b_lo, b_hi, m_lo, m_hi = frames.pop()
+                frames.append(x)
+                task = (b_ctx, k2, b_lo, b_hi, max(0, m_lo - x), m_hi - x)
+            elif clusters:
+                task = clusters.pop()
             else:
-                a_ctx, a, b_ctx, b, edge = contexts.parts(ctx)
-                found = _first_candidate(a, b, k, e_lo, e_hi, lo, hi, lower, upper)
-                if found:
-                    cut, k1, (a_lo, a_hi), k2, (b_lo, b_hi) = found[1]
-                    if cut:  # the child's cluster, then the parent side
-                        stack.append((_CLUSTER, edge, (a_ctx, k1, a_lo, a_hi, lo, hi)))
-                        task = (b_ctx, k2, b_lo, b_hi, lower, upper)
-                    elif len(a_ctx) == 2 and a_ctx[1] == 0:  # a leaf parent side: a_lo
-                        stack.append((_WRAP, None, None, a_lo))  # meets its window
-                        task = (b_ctx, k2, b_lo, b_hi, max(0, lo - a_lo), hi - a_lo)
-                    else:
-                        stack.append((_MERGE, b_ctx, k2, b_lo, b_hi, lo, hi))
-                        task = (a_ctx, k1, a_lo, a_hi, max(0, lo - b_hi), hi - b_lo)
-            if not found:
-                raise WitnessNotFoundError(f"interval {(e_lo, e_hi)!r} at {ctx!r} has no realisation "
-                                           f"in [{lo}, {hi}]: the state breaks the endpoint contract")
+                return cuts
             continue
-        while stack:  # a leaf is realised: go back up to the next task
-            top = stack.pop()
-            if top[0] == _WRAP:
-                got = (got[0] + top[3], (top[1], got[1], top[2]))
-            elif top[0] == _CLUSTER:
-                stack.append((_WRAP, top[1], got[1], 0))
-                task = top[2]
-                break
-            else:  # _MERGE: the parent side's weight fixes the child's window
-                ax = got[0]
-                stack.append((_WRAP, None, got[1], ax))
-                task = top[1:5] + (max(0, top[5] - ax), top[6] - ax)
-                break
+        if len(ctx) == 2 and ctx in cycle_at:
+            found = min(((iv, j) for j, state in contexts.config_states(ctx) for iv in state.get(k, ())
+                         if e_lo <= iv[0] <= min(e_hi, hi) and iv[1] >= lo), default=None)
+            if found:
+                (r_lo, r_hi), j = found
+                cuts.add(absent_cycle_edge(cycle_at[ctx], j))
+                task = ((ctx, j, None), k, r_lo, r_hi, lo, hi)
         else:
-            return got
+            a_ctx, a, b_ctx, b, edge = contexts.parts(ctx)
+            found = _first_candidate(a, b, k, e_lo, e_hi, lo, hi, lower, upper)
+            if found:
+                cut, k1, (a_lo, a_hi), k2, (b_lo, b_hi) = found
+                if cut:  # the child's cluster on its own; the parent side goes on here
+                    cuts.add(edge)
+                    clusters.append((b_ctx, k2, b_lo, b_hi, lower, upper))
+                    task = (a_ctx, k1, a_lo, a_hi, lo, hi)
+                elif len(a_ctx) == 2 and a_ctx[1] == 0:  # a leaf parent side: a_lo
+                    frames.append(a_lo)  # meets its window
+                    task = (b_ctx, k2, b_lo, b_hi, max(0, lo - a_lo), hi - a_lo)
+                else:
+                    frames.append((b_ctx, k2, b_lo, b_hi, lo, hi))
+                    task = (a_ctx, k1, a_lo, a_hi, max(0, lo - b_hi), hi - b_lo)
+        if not found:
+            raise WitnessNotFoundError(f"interval {(e_lo, e_hi)!r} at {ctx!r} has no realisation "
+                                       f"in [{lo}, {hi}]: the state breaks the endpoint contract")
 
 
 def reconstruct(run: AnnotatedRun, target=None) -> Partition:
@@ -442,12 +425,13 @@ def reconstruct(run: AnnotatedRun, target=None) -> Partition:
              if k == params.num_clusters and params.lower <= x <= params.upper), default=None)
         if key is None or key not in run.root_state:
             raise WitnessNotFoundError("no feasible root tuple to reconstruct")
-        return canonicalize_partition(run.graph, _mask_witness_cuts(run, key))
-
-    t_lo, t_hi, k = (None, None, params.num_clusters) if target is None else target
-    for lo, hi in sorted(run.root_state.get(k, ())):
-        if (target is None or (lo, hi) == (t_lo, t_hi)) and lo <= params.upper and hi >= params.lower:
-            root_ctx = (run.tree.root, run.tree.full_index(run.tree.root))
-            task = (root_ctx, k, lo, hi, params.lower, params.upper)
-            return canonicalize_partition(run.graph, _cut_edges(_interval_witness(run, task)[1]))
-    raise WitnessNotFoundError("no feasible root interval to reconstruct")
+        cuts = _mask_witness_cuts(run, key)
+    else:
+        t_lo, t_hi, k = (None, None, params.num_clusters) if target is None else target
+        root = min((iv for iv in run.root_state.get(k, ()) if (target is None or iv == (t_lo, t_hi))
+                    and iv.lo <= params.upper and iv.hi >= params.lower), default=None)
+        if root is None:
+            raise WitnessNotFoundError("no feasible root interval to reconstruct")
+        root_ctx = (run.tree.root, run.tree.full_index(run.tree.root))
+        cuts = _interval_witness(run, (root_ctx, k, *root, params.lower, params.upper))
+    return canonicalize_partition(run.graph, cuts)

@@ -213,6 +213,44 @@ def test_gen_single_vertex(capsys):
     assert len(doc["vertices"]) == 1 and doc["edges"] == []
 
 
+def test_gen_ranges_bound_their_attributes(capsys):
+    """Each range flag bounds its attribute, both ends included; without
+    it a size is the weight and a cost or capacity is absent."""
+    assert run(["gen", "-n", "40", "--cycle-density", "0.5", "--seed", "5", "--weight-range", "3:4",
+                "--size-range", "7:8", "--cost-range", "0:2", "--capacity-range", "10:12"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    graph = validate_cactus(doc)
+    assert set(graph.weight.values()) == {3, 4} and set(graph.size.values()) == {7, 8}
+    assert set(graph.cost.values()) == {0, 1, 2} and set(graph.capacity.values()) == {10, 11, 12}
+    assert run(["gen", "-n", "40", "--seed", "5", "--weight-range", "2:2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(v.keys() == {"id", "weight"} and v["weight"] == 2 for v in doc["vertices"])
+    assert all(e.keys() == {"u", "v"} for e in doc["edges"])
+
+
+@pytest.mark.parametrize("flag", ["--weight-range", "--size-range", "--cost-range", "--capacity-range"])
+@pytest.mark.parametrize("value, message", [
+    ("5:2", "bad range '5:2'"),
+    ("-1:3", "bad range '-1:3'"),
+    ("x", "expected LO:HI, got 'x'"),
+    ("1:2:3", "expected LO:HI, got '1:2:3'"),
+])
+def test_gen_rejects_a_bad_range(flag, value, message, capsys):
+    assert run(["gen", "-n", "4", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: argument {flag}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["-n", "0"], "error: need at least one vertex"),
+    (["-n", "4", "--cycle-density", "1.5"], "error: cycle density must be within [0, 1]"),
+])
+def test_gen_rejects_bad_parameters(argv, message, capsys):
+    assert run(["gen", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["gen", "-n", "400", "--seed", "3"], 0),
     (["solve", "--variant", "solve", "-l", "1", "-u", "1", "-p", "3"], 0),

@@ -4,9 +4,11 @@ from hypothesis import strategies as st
 
 from cactus_partition import (
     ProblemParams,
+    annotate,
     build_tree,
     decide_p_partition,
     enumerate_all,
+    interval_subtree_sets,
     oracle_decide,
 )
 from cactus_partition.dp_core import (
@@ -77,6 +79,19 @@ def test_leaf_set(weight):
 def test_leaf_set_rejects_heavy_vertex():
     with pytest.raises(WeightExceedsUpperError):
         leaf_set(11, ProblemParams(0, 10, 3))
+
+
+@pytest.mark.parametrize("run", [
+    lambda g, params: annotate(g, params, "tupleset"),
+    lambda g, params: annotate(g, params, "interval"),
+    lambda g, params: interval_subtree_sets(build_tree(g), params),
+], ids=["annotate-tupleset", "annotate-interval", "interval_subtree_sets"])
+def test_a_vertex_above_upper_raises(run):
+    """``annotate`` and ``interval_subtree_sets`` answer nothing early: a
+    vertex heavier than ``u`` raises, as ``_prepare``'s docstring says."""
+    for g in (path([2, 11, 3]), triangle((1, 11, 1))):
+        with pytest.raises(WeightExceedsUpperError, match=r"^vertex weight 11 exceeds upper bound 10$"):
+            run(g, ProblemParams(0, 10, 3))
 
 
 def test_params_validation():

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from cactus_partition import canonicalize_partition, gen_random_cactus, validate_cactus
 from cactus_partition.errors import (
+    AttributeOverflowError,
+    GraphError,
     InvalidParamsError,
     NegativeAttributeError,
     NotCactusError,
@@ -72,6 +74,45 @@ def test_negative_weight_rejected():
         graph_from({"a": -1}, [])
 
 
+def _rejected(raw, error, message):
+    with pytest.raises(error) as info:
+        validate_cactus(raw)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_empty_vertex_list_rejected():
+    _rejected({"vertices": [], "edges": []}, GraphError, "graph has no vertices")
+
+
+def test_duplicate_vertex_id_rejected():
+    # ids are compared as strings, so 1 and "1" are the same vertex
+    _rejected({"vertices": [{"id": 1, "weight": 1}, {"id": "1", "weight": 2}]},
+              GraphError, "duplicate vertex id '1'")
+
+
+@pytest.mark.parametrize("name", ["cost", "capacity"])
+@pytest.mark.parametrize("value", [-1, True, 1.5])
+def test_bad_edge_attribute_rejected(name, value):
+    raw = {"vertices": [{"id": "a"}, {"id": "b"}], "edges": [{"u": "a", "v": "b", name: value}]}
+    _rejected(raw, NegativeAttributeError,
+              f"{name} of edge ('a', 'b') must be a non-negative integer, got {value!r}")
+
+
+@pytest.mark.parametrize("key, name", [
+    ("weight", "weights"), ("size", "sizes"), ("cost", "costs"), ("capacity", "capacities"),
+])
+def test_attribute_sum_above_64_bits_rejected(key, name):
+    def doc(first):
+        vertices = [{"id": v, "weight": 0} for v in "abc"]
+        edges = [{"u": "a", "v": "b"}, {"u": "b", "v": "c"}]
+        for entry, value in zip(vertices if key in ("weight", "size") else edges, (first, 2**62)):
+            entry[key] = value
+        return {"vertices": vertices, "edges": edges}
+
+    _rejected(doc(2**62), AttributeOverflowError, f"sum of {name} exceeds 64-bit range")
+    validate_cactus(doc(2**62 - 1))  # a sum of 2**63 - 1 is in range
+
+
 def test_attribute_defaults():
     g = graph_from({"a": 3, "b": 2}, [("a", "b")])
     assert g.size == {"a": 3, "b": 2}
@@ -105,6 +146,12 @@ def test_canonicalize_two_cycle_cuts_split():
     assert part.clusters == (("a", "c"), ("b",))
     assert part.cut_edges == (("a", "b"), ("b", "c"))
     assert part.weights == (2, 1)
+
+
+def test_canonicalize_rejects_a_non_edge():
+    with pytest.raises(GraphError) as info:
+        canonicalize_partition(path([1, 2, 3]), {("n2", "n0")})
+    assert type(info.value) is GraphError and str(info.value) == "cut contains non-edges: [('n0', 'n2')]"
 
 
 def test_aggregates():

@@ -47,6 +47,21 @@ def _range_pair(text: str) -> tuple[int, int]:
     return pair
 
 
+_RANGE_FLAGS = ("--weight-range", "--size-range", "--cost-range", "--capacity-range")
+
+
+def _joined_ranges(argv) -> list:
+    """``argv`` with a range flag and a separate value that starts with
+    ``-`` written as ``FLAG=VALUE``: argparse reads such a value (``-1:3``)
+    as an option, so ``_range_pair`` would never see it."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        value = out[i + 1]
+        if out[i] in _RANGE_FLAGS and value[:1] == "-" and value[1:2].isdigit():
+            out[i:i + 2] = [f"{out[i]}={value}"]
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cactus-partition",
@@ -238,7 +253,7 @@ def run(argv) -> int:
     """Parse arguments and execute; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_ranges(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     if args.command == "gen":

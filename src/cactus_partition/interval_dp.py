@@ -28,8 +28,11 @@ interval endpoints (guarded by the low sum fitting under the upper
 bound).  Freshly combined intervals may interfere (come within ``gap`` of
 each other), so every combination is followed by the order-independent
 merge that repeatedly joins interfering intervals.  A bare-vertex parent
-(one count, one interval) skips the sort: its shifted child runs arrive
-in order, and one pass over the child's counts merges them as they come.
+(one count, one interval) skips the sort and takes one pass over the
+child's counts.  A child count holding one run, nearly every count in
+practice, gives one merge, joined to or kept beside the parent's cut
+without a list; a child count with two or more runs has its shifted runs
+swept as they come, since they arrive in order.
 
 States are plain ``{k: ((lo, hi), ...)}`` tuples, count-ascending and
 each count's runs in ascending order; no interval remembers how it was
@@ -57,8 +60,8 @@ def merge(intervals, gap: int) -> list[Interval]:
     after the earlier one ends.  The result is independent of the input
     order: sorting by low end first makes the left-to-right sweep find
     exactly the maximal interfering groups.  ``IntervalAlgebra`` runs the
-    same sweep inline on a bare-vertex parent's shifted child runs, whose
-    order is known without a sort.
+    same sweep inline on a bare-vertex parent's shifted child runs at a
+    child count with two or more runs, whose order is known without a sort.
     """
     ivs = sorted(intervals)
     if not ivs:
@@ -95,9 +98,10 @@ class IntervalAlgebra(IdentityLift):
     """Interval states for the shared tree traversal: ``{k: ((lo, hi), ...)}``.
 
     ``combine`` with a bare-vertex parent ``{k1: ((lo, hi),)}`` takes one
-    pass over the child's counts (:meth:`_bare_parent`); any other parent
-    collects raw intervals per count and merges them.  Both give the same
-    state, count-ascending.
+    pass over the child's counts (:meth:`_bare_parent`), straight-line for
+    a child count of one run and a sweep for one of several; any other
+    parent collects raw intervals per count and merges them.  All give
+    the same state, count-ascending.
     """
 
     def __init__(self, graph: CactusGraph, params: ProblemParams):
@@ -152,8 +156,13 @@ class IntervalAlgebra(IdentityLift):
         Count k holds the cut, ``a_iv`` itself, when a run of ``b[k - k1]``
         meets the window, then the runs of ``b[k - k1 + 1]`` shifted by
         ``a_iv``.  Those start no lower than ``a_iv`` and in ascending
-        order, so :func:`merge`'s sweep runs on them as they come, with no
-        sort.  ``b`` is count-ascending, and so is the result.
+        order.  A child count of one run ``(b_lo, b_hi)`` gives one merge
+        ``(a_lo + b_lo, a_hi + b_hi)``: dropped when it starts above
+        ``upper``, joined to a pending cut that it starts within ``gap``
+        of, kept beside it otherwise (a cut is pending only at a count
+        k >= 2, so two runs never over-fill it).  A child count of two or
+        more runs goes through :func:`merge`'s sweep as the runs come, with
+        no sort.  ``b`` is count-ascending, and so is the result.
         """
         lower, upper, p, gap = self.lower, self.upper, self.p, self.gap
         a_lo, a_hi = a_iv
@@ -165,6 +174,20 @@ class IntervalAlgebra(IdentityLift):
                 break
             if 0 < cut_at < k:  # no merge lands on the pending cut's count
                 out[cut_at] = (a_iv,)
+            if len(ivs_b) == 1:  # one run: one merge, no sweep
+                ((b_lo, b_hi),) = ivs_b
+                lo = a_lo + b_lo
+                if cut_at != k:
+                    if lo <= upper:
+                        out[k] = ((lo, a_hi + b_hi),)
+                elif lo > upper:
+                    out[k] = (a_iv,)
+                elif lo - a_hi <= gap:  # weights are >= 0: the merge ends last
+                    out[k] = ((a_lo, a_hi + b_hi),)
+                else:  # two runs at a count k >= 2
+                    out[k] = (a_iv, (lo, a_hi + b_hi))
+                cut_at = k + 1 if k < p and b_lo <= upper and b_hi >= lower else 0
+                continue
             runs = [a_iv] if cut_at == k else []
             for b_lo, b_hi in ivs_b:
                 lo = a_lo + b_lo

@@ -228,15 +228,29 @@ def test_gen_ranges_bound_their_attributes(capsys):
     assert all(e.keys() == {"u", "v"} for e in doc["edges"])
 
 
-@pytest.mark.parametrize("flag", ["--weight-range", "--size-range", "--cost-range", "--capacity-range"])
-@pytest.mark.parametrize("value, message", [
+RANGE_FLAGS = ["--weight-range", "--size-range", "--cost-range", "--capacity-range"]
+BAD_RANGES = [
     ("5:2", "bad range '5:2'"),
     ("-1:3", "bad range '-1:3'"),
     ("x", "expected LO:HI, got 'x'"),
     ("1:2:3", "expected LO:HI, got '1:2:3'"),
-])
+]
+
+
+@pytest.mark.parametrize("flag", RANGE_FLAGS)
+@pytest.mark.parametrize("value, message", BAD_RANGES)
 def test_gen_rejects_a_bad_range(flag, value, message, capsys):
     assert run(["gen", "-n", "4", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: argument {flag}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("flag", RANGE_FLAGS)
+@pytest.mark.parametrize("value, message", [*BAD_RANGES, ("-2:-1", "bad range '-2:-1'")])
+def test_gen_rejects_a_bad_range_given_as_its_own_argument(flag, value, message, capsys):
+    """``FLAG VALUE`` reaches the range check as ``FLAG=VALUE`` does, also
+    when the value starts with ``-``, which argparse would read as an option."""
+    assert run(["gen", "-n", "4", flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"error: argument {flag}: {message}" in captured.err
 

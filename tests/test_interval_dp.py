@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cactus_partition import (
     ProblemParams,
+    annotate,
     build_tree,
     decide_p_partition,
     decide_p_partition_poly,
@@ -13,6 +14,7 @@ from cactus_partition import (
     interval_subtree_sets,
     merge,
     oracle_decide,
+    reconstruct,
 )
 from cactus_partition.errors import IntervalCountError
 from cactus_partition.interval_dp import IntervalAlgebra
@@ -132,6 +134,77 @@ def test_bare_parent_combine_matches_interval_oplus(case):
         a = {k1: ((a_lo, a_lo + rng.randint(0, width)),)}
         b = {k: _random_runs(rng, k, b_top, params.gap) for k in b_counts}
         _check_combine(a, b, params)
+
+
+# name: (p, child, the combined state).  The parent is {1: ((3, 3),)} and
+# the window [8, 10], so gap 2; b[1] = (8, 8) meets the window and its
+# merge (11, 11) is dropped, so a cut waits at count 2.  Each case reaches
+# one branch of the one-run path of combine's bare-parent pass.
+ONE_RUN_CASES = {
+    "cut-joined-to-merge": (4, {1: ((8, 8),), 2: ((1, 2),)}, {2: ((3, 5),)}),
+    "cut-joined-at-gap": (4, {1: ((8, 8),), 2: ((2, 2),)}, {2: ((3, 5),)}),
+    "cut-kept-apart": (4, {1: ((8, 8),), 2: ((4, 4),)}, {2: ((3, 3), (7, 7))}),
+    "merge-above-upper-leaves-cut": (4, {1: ((8, 8),), 2: ((8, 8),)}, {2: ((3, 3),), 3: ((3, 3),)}),
+    "cut-where-no-merge-lands": (4, {1: ((8, 8),), 3: ((1, 1),)}, {2: ((3, 3),), 3: ((4, 4),)}),
+    "counts-at-and-past-p": (3, {1: ((8, 8),), 2: ((8, 8),), 3: ((8, 8),), 4: ((0, 0),)},
+                             {2: ((3, 3),), 3: ((3, 3),)}),
+    # a two-run count swept, its cut pending at a one-run count
+    "one-and-two-run-counts": (4, {1: ((8, 8),), 2: ((1, 1), (8, 8)), 3: ((5, 6),)},
+                               {2: ((3, 4),), 3: ((3, 3), (8, 9))}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_RUN_CASES))
+def test_bare_parent_one_run_counts(case):
+    p, b, state = ONE_RUN_CASES[case]
+    params = ProblemParams(8, 10, p)
+    a = {1: ((3, 3),)}
+    _check_combine(a, b, params)
+    assert IntervalAlgebra(graph_from({"a": 1}, []), params).combine(a, b, None, None) == state
+
+
+def test_bare_parent_one_run_children_match_interval_oplus():
+    """Random children of one run per count, now and then a two-run count."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        lower = rng.randint(0, 10)
+        params = ProblemParams(lower, lower + rng.randint(0, 4), rng.randint(1, 8))
+        a_lo = rng.randint(0, 6)
+        a = {rng.randint(1, 3): ((a_lo, a_lo + rng.randint(0, 3)),)}
+        b_counts = sorted(rng.sample(range(1, 9), rng.randint(1, 6)))
+        b = {k: _random_runs(rng, k if rng.random() < 0.2 else 1, 14, params.gap) for k in b_counts}
+        _check_combine(a, b, params)
+
+
+def test_a_ring_fold_reaches_the_multi_run_sweep(monkeypatch):
+    """A real fold hands the bare-parent pass a child count of two runs;
+    the deciders and the interval witness still agree with the oracle."""
+    weights = [2, 0, 5, 0, 0, 0, 3, 0, 2, 1, 2, 0]
+    names = [f"r{i}" for i in range(len(weights))]
+    edges = [(v, names[(i + 1) % len(names)]) for i, v in enumerate(names)]
+    g = graph_from(dict(zip(names, weights)), edges)
+    children = []
+    bare_parent = IntervalAlgebra._bare_parent
+
+    def spy(self, k1, a_iv, b):
+        children.append(b)
+        return bare_parent(self, k1, a_iv, b)
+
+    monkeypatch.setattr(IntervalAlgebra, "_bare_parent", spy)
+    assert decide_p_partition_poly(g, ProblemParams(1, 5, 3))
+    assert {2: ((5, 8),), 3: ((0, 0), (5, 5))} in children
+    outcomes = enumerate_all(g)
+    for p in range(1, 7):
+        params = ProblemParams(1, 5, p)
+        expected = oracle_decide(outcomes, 1, 5, p)
+        assert expected == (p >= 3)
+        assert decide_p_partition(g, params) == decide_p_partition_poly(g, params) == expected
+        run = annotate(g, params, "interval")
+        assert (p in run.feasible_counts()) == expected
+        if expected:
+            part = reconstruct(run)
+            assert part.num_clusters == p and all(1 <= w <= 5 for w in part.weights)
+            assert sorted(v for c in part.clusters for v in c) == sorted(names)
 
 
 def test_other_parents_combine_matches_interval_oplus():

@@ -2,18 +2,22 @@
 
 Reconstruction walks a solver run from the root downwards and collects
 the edges cut along the way; deleting the collected edges from the graph
-yields the clusters.
+yields the clusters.  A task of one cluster ends its descent in both
+walks: its whole partial subtree is the root cluster, so no edge below it
+is cut.  (A cycle inside it would give its absent edge, which
+``canonicalize_partition`` drops, as both ends lie in one cluster.)
 
 ``annotate`` keeps every partial state of the run, each cycle
 configuration's state and, for the configurations a walk may enter, the
 joined and chain states folded inside it.  Which those are is decided as
 each configuration is folded (``_mask_entered``, ``_interval_entered``),
-so the states of the others are freed at once.  The walks name states by
-the contexts of :class:`~.dp_core.ContextMap`, which hands out the two
-states and the edge each was combined from, so a walk combines nothing.
-States under a count cap above the walk's count (min / max use the
-vertex count) serve it as they are: entries up to a count do not depend
-on the cap.
+so the states of the others are freed at once.  No walk enters a cycle at
+count 1, so the rules look at two or more clusters only.  The walks name
+states by the contexts of :class:`~.dp_core.ContextMap`, which hands out
+the two states and the edge each was combined from, so a walk combines
+nothing.  States under a count cap above the walk's count (min / max use
+the vertex count) serve it as they are: entries up to a count do not
+depend on the cap.
 
 The tuple-set engine keeps no records.  Its bitmask states are exact, so
 any split of a stored tuple into achievable parts extends to a valid
@@ -37,21 +41,24 @@ cycle's start the lowest ``(interval, j)`` of the configurations.  The
 walk only descends, and it adds a cycle's absent edge and a cut's edge
 to the cut set as it picks them.  A cut child's cluster gets the window
 ``[lower, upper]`` and is walked on its own, as nothing above reads its
-weight; the parent side goes on in place.  In a merge with child
-interval ``[b, b']`` the parent side gets ``[lo - b', hi - b]`` and,
-once its weight x is fixed, the child side ``[lo - x, hi - x]`` (both
-clipped at 0), so a merge alone waits for a weight.  A choice depends
-only on the task it is made for, and only a merge's child window on a
-weight realised before it, so the cut set is that of the first solution
-of a depth-first search in that order, the one a recorded interval
-algebra's records give, found without backing up.  Every window is
-``[lower, upper]``, or another window shifted or widened and then
-clipped at 0, so it is at least ``gap`` wide or starts at 0.  The raw
-intervals of a merge group step at most ``gap`` apart from its lower end
-to its upper end, so a stored interval meeting such a window has a raw
-interval meeting it, and the first one's parent and child intervals meet
-the windows set for them; down to the leaves, the first candidate always
-has a realisation.  A state that breaks this raises
+weight; the parent side goes on in place.  In a merge with child interval
+``[b, b']`` the parent side gets ``[lo - b', hi - b]`` and, once its
+weight x is fixed, the child side ``[lo - x, hi - x]`` (both clipped at
+0), so a merge alone waits for a weight.  A run at count 1 is one weight,
+its lower endpoint: a task at count 1 weighs ``e_lo``, which must lie in
+its window, and a merge's one-cluster parent side weighs ``a_lo`` with
+no task of its own.  A choice depends only on the task it is made for,
+and only a merge's child window on a weight realised before it, so the
+cut set is that of the first solution of a depth-first search in that
+order, the one a recorded interval algebra's records give, found without
+backing up.  Every window is ``[lower, upper]``, or another window
+shifted or widened and then clipped at 0, so it is at least ``gap`` wide
+or starts at 0.  The raw intervals of a merge group step at most ``gap``
+apart from its lower end to its upper end, so a stored interval meeting
+such a window has a raw interval meeting it, and the first one's parent
+and child intervals meet the windows set for them; down to the tasks of
+one cluster, whose one weight then meets its window, the first candidate
+always has a realisation.  A state that breaks this raises
 :class:`WitnessNotFoundError`.
 """
 
@@ -233,9 +240,9 @@ def _mask_witness_cuts(run: AnnotatedRun, key) -> set:
     stack = [(contexts.full(tree.root), key)]
     while stack:
         ctx, key = stack.pop()
+        if key[1] == 1:  # one cluster: no edge below it is cut
+            continue
         if len(ctx) == 2:
-            if ctx[1] == 0:
-                continue
             cyc = tree.cycle_at.get(ctx)
             if cyc is not None:  # the lowest configuration holding the tuple
                 x, k = key
@@ -253,13 +260,14 @@ def _mask_witness_cuts(run: AnnotatedRun, key) -> set:
 
 def _mask_entered():
     """The tuple-set walk enters the lowest configuration holding its
-    tuple: true for a configuration holding one that no lower one holds."""
+    tuple, at two or more clusters: true for a configuration holding such
+    a tuple that no lower one holds."""
     seen: dict = {}
 
     def holds_new(state):
         new = False
         for k, mask in state.items():
-            if mask & ~seen.get(k, 0):
+            if k > 1 and mask & ~seen.get(k, 0):
                 seen[k] = seen.get(k, 0) | mask
                 new = True
         return new
@@ -334,15 +342,18 @@ def _first_candidate(a, b, k, e_lo, e_hi, lo, hi, lower, upper):
 
 def _interval_entered():
     """The interval walk enters the first ``(interval, j)`` meeting its
-    window in a merge group: false for a configuration each of whose
-    intervals ``[lo, hi]`` a lower one holds too, or covers with
-    ``[lo', hi']``, ``lo' < lo <= hi <= hi'``.  That one comes first, in
-    the same group, and meets every window ``[lo, hi]`` meets."""
+    window in a merge group, at two or more clusters: false for a
+    configuration each of whose intervals ``[lo, hi]`` at such a count a
+    lower one holds too, or covers with ``[lo', hi']``, ``lo' < lo <= hi
+    <= hi'``.  That one comes first, in the same group, and meets every
+    window ``[lo, hi]`` meets."""
     seen: dict = {}
 
     def holds_new(state):
         new = False
         for k, ivs in state.items():
+            if k == 1:
+                continue
             held = seen.get(k)
             if held is None:
                 seen[k], new = set(ivs), True
@@ -360,27 +371,28 @@ def _interval_witness(run: AnnotatedRun, task) -> set:
     e_hi]`` at count ``k`` of the state at ``ctx``: the first in the
     walk's order (module docstring)."""
     tree, params = run.tree, run.params
-    weight, cycle_at, lower, upper = tree.graph.weight, tree.cycle_at, params.lower, params.upper
+    cycle_at, lower, upper = tree.cycle_at, params.lower, params.upper
     contexts = ContextMap(tree, run.states, run.folds)
     cuts: set = set()
     clusters: list = []  # the tasks of cut-off clusters, whose weights nothing reads
     frames: list = []  # per merge under way: the weight to add, or the child side's task
     while True:
         ctx, k, e_lo, e_hi, lo, hi = task
-        if len(ctx) == 2 and ctx[1] == 0:  # a leaf: its weight meets the window
-            x = weight[ctx[0]]  # (every task's interval meets its window)
-            while frames and type(frames[-1]) is int:
-                x += frames.pop()
-            if frames:  # a merge's parent side weighs x: that fixes the child side's window
-                b_ctx, k2, b_lo, b_hi, m_lo, m_hi = frames.pop()
-                frames.append(x)
-                task = (b_ctx, k2, b_lo, b_hi, max(0, m_lo - x), m_hi - x)
-            elif clusters:
-                task = clusters.pop()
-            else:
-                return cuts
-            continue
-        if len(ctx) == 2 and ctx in cycle_at:
+        if k == 1:  # one cluster, so one weight, e_lo: no edge below it is cut
+            found = lo <= e_lo <= hi
+            if found:
+                x = e_lo
+                while frames and type(frames[-1]) is int:
+                    x += frames.pop()
+                if frames:  # a merge's parent side weighs x: that fixes the child side's window
+                    b_ctx, k2, b_lo, b_hi, m_lo, m_hi = frames.pop()
+                    frames.append(x)
+                    task = (b_ctx, k2, b_lo, b_hi, max(0, m_lo - x), m_hi - x)
+                elif clusters:
+                    task = clusters.pop()
+                else:
+                    return cuts
+        elif len(ctx) == 2 and ctx in cycle_at:
             found = min(((iv, j) for j, state in contexts.config_states(ctx) for iv in state.get(k, ())
                          if e_lo <= iv[0] <= min(e_hi, hi) and iv[1] >= lo), default=None)
             if found:
@@ -396,8 +408,8 @@ def _interval_witness(run: AnnotatedRun, task) -> set:
                     cuts.add(edge)
                     clusters.append((b_ctx, k2, b_lo, b_hi, lower, upper))
                     task = (a_ctx, k1, a_lo, a_hi, lo, hi)
-                elif len(a_ctx) == 2 and a_ctx[1] == 0:  # a leaf parent side: a_lo
-                    frames.append(a_lo)  # meets its window
+                elif k1 == 1:  # a one-cluster parent side weighs a_lo
+                    frames.append(a_lo)
                     task = (b_ctx, k2, b_lo, b_hi, max(0, lo - a_lo), hi - a_lo)
                 else:
                     frames.append((b_ctx, k2, b_lo, b_hi, lo, hi))
@@ -415,10 +427,15 @@ def reconstruct(run: AnnotatedRun, target=None) -> Partition:
     For the interval solver it is an ``(low, high, count)`` triple of a
     stored root interval meeting the weight window, at any count the run
     stored (same default rule).
-    Raises :class:`WitnessNotFoundError` when no target qualifies; for a
-    feasible instance that indicates a solver bug.
+    Raises ``ValueError`` for a target of the other engine's shape, and
+    :class:`WitnessNotFoundError` when no target qualifies; for a feasible
+    instance that indicates a solver bug.
     """
     params = run.params
+    size, form = ((2, "a tuple-set run's target is a (weight, count) pair") if run.algorithm == "tupleset"
+                  else (3, "an interval run's target is a (low, high, count) triple"))
+    if target is not None and len(target) != size:
+        raise ValueError(f"{form}, got {target!r}")
     if run.algorithm == "tupleset":
         key = target if target is not None else min(
             ((x, k) for x, k in run.root_state

@@ -48,7 +48,7 @@ from collections import namedtuple
 from .dp_core import IdentityLift, ProblemParams, _check_leaf_weights, _prepare, run_tree_dp
 from .errors import IntervalCountError
 from .graph_model import CactusGraph
-from .tree_rep import CactusTree
+from .tree_rep import CactusTree, as_tree
 
 Interval = tuple[int, int]
 
@@ -231,8 +231,10 @@ def _over_full(ivs, k) -> IntervalCountError:
     return IntervalCountError(f"{len(ivs)} intervals stored for cluster count {k}: {ivs}")
 
 
-def interval_subtree_sets(tree: CactusTree, params: ProblemParams):
-    """All compressed interval sets, keyed by ``(node, children_included)``."""
+def interval_subtree_sets(graph: CactusGraph | CactusTree, params: ProblemParams):
+    """All compressed interval sets, keyed by ``(node, children_included)``,
+    of ``graph`` or of a :class:`CactusTree` built from it."""
+    tree = as_tree(graph)
     _check_leaf_weights(tree.graph, params)
     return run_tree_dp(tree, IntervalAlgebra(tree.graph, params))
 

@@ -15,7 +15,7 @@ from cactus_partition import (
     min_partition,
     reconstruct,
 )
-from cactus_partition import dp_core
+from cactus_partition import backtrack, dp_core
 from cactus_partition.backtrack import (
     AnnotatedRun,
     _interval_entered,
@@ -30,7 +30,7 @@ from cactus_partition.interval_dp import IEntry, IntervalAlgebra
 import interval_reference
 from dp_reference import keep_every_fold, run_with_configs
 from interval_reference import recorded_states, recorded_witness
-from util import graph_from, path, random_graph, triangle
+from util import graph_from, path, random_graph, rings_and_necklaces, triangle
 
 
 def test_single_vertex():
@@ -64,6 +64,24 @@ def test_explicit_target(algorithm):
     target = (2, 2) if algorithm == "tupleset" else (2, 4, 2)
     part = reconstruct(run, target)
     assert sorted(part.weights) == [2, 4]
+
+
+@pytest.mark.parametrize("algorithm, target, error", [
+    ("tupleset", (2, 2), None),
+    ("tupleset", (2, 4, 2), r"^a tuple-set run's target is a \(weight, count\) pair, got \(2, 4, 2\)$"),
+    ("interval", (2, 4, 2), None),
+    ("interval", (2, 2), r"^an interval run's target is a \(low, high, count\) triple, got \(2, 2\)$"),
+])
+def test_a_target_of_the_wrong_shape_raises(algorithm, target, error):
+    """Each engine names its target's form: a target of the other
+    engine's shape raises ``ValueError``, not a failed unpacking or a
+    missing root entry."""
+    run = annotate(path([2, 2, 2]), ProblemParams(2, 4, 2), algorithm)
+    if error is None:
+        assert sorted(reconstruct(run, target).weights) == [2, 4]
+        return
+    with pytest.raises(ValueError, match=error):
+        reconstruct(run, target)
 
 
 def test_missing_target_raises():
@@ -324,22 +342,33 @@ def test_keep_rules_on_hand_built_configuration_states():
     """The rules see a cycle's configuration states in order of j.  The
     mask rule keeps one holding a tuple no lower one holds; the interval
     rule drops one only when a lower one holds each of its intervals or
-    covers it with a lower start.  Runs of two or more intervals per count
-    are rare in seeded runs, so they are built here."""
+    covers it with a lower start.  Both look at two or more clusters
+    only: a walk ends at a one-cluster task, so it enters no configuration
+    at count 1.  Runs of two or more intervals per count are rare in
+    seeded runs, so they are built here."""
     holds_new = _mask_entered()
     assert [holds_new(state) for state in (
-        {1: 0b101}, {1: 0b001}, {1: 0b010}, {2: 0b1}, {1: 0b111, 2: 0b1},
-    )] == [True, False, True, True, False]
+        {2: 0b101}, {2: 0b001}, {2: 0b010}, {3: 0b1}, {2: 0b111, 3: 0b1},
+        {1: 0b1000},  # new at count 1 alone
+        {1: 0b10000, 2: 0b1000},
+    )] == [True, False, True, True, False, False, True]
+    holds_new = _mask_entered()
+    assert [holds_new(state) for state in ({1: 0b1}, {1: 0b10, 2: 0b1})] == [False, True]
     holds_new = _interval_entered()
     assert [holds_new(state) for state in (
-        {1: ((2, 5),)},
-        {1: ((2, 5),)},  # held
-        {1: ((3, 4),)},  # covered by (2, 5), which comes first in its group
-        {1: ((2, 6),)},  # (2, 5) comes first but stops below 6
-        {1: ((2, 5), (9, 9))},  # a new run behind a held one
-        {2: ((0, 0),)},  # a new count
-        {1: ((9, 9),), 2: ((0, 0),)},
-    )] == [True, False, False, True, True, True, False]
+        {2: ((2, 5),)},
+        {2: ((2, 5),)},  # held
+        {2: ((3, 4),)},  # covered by (2, 5), which comes first in its group
+        {2: ((2, 6),)},  # (2, 5) comes first but stops below 6
+        {2: ((2, 5), (9, 9))},  # a new run behind a held one
+        {3: ((0, 0),)},  # a new count
+        {2: ((9, 9),), 3: ((0, 0),)},
+        {1: ((20, 20),)},  # new at count 1 alone
+        {1: ((30, 30),), 3: ((7, 7),)},
+    )] == [True, False, False, True, True, True, False, False, True]
+    holds_new = _interval_entered()
+    assert [holds_new(state) for state in ({1: ((4, 4),)}, {1: ((5, 5),), 2: ((4, 4),)})] == \
+        [False, True]
 
 
 @pytest.mark.parametrize("algorithm", ["tupleset", "interval"])
@@ -370,6 +399,59 @@ def test_walks_enter_only_the_configurations_annotate_keeps(algorithm):
                     reconstruct(full._replace(params=params._replace(num_clusters=k)), key)
                 targets += 1
     assert targets >= 500 and dropped >= 100, (targets, dropped)
+
+
+def _one_cluster_instances():
+    """Rings, necklaces and random cacti of cycle density 0.9, each under
+    a tight and a loose window."""
+    graphs = list(rings_and_necklaces())
+    graphs += [random_graph(seed, n=13, cycle_density=0.9) for seed in range(20)]
+    for i, g in enumerate(graphs):
+        lower = i % 4
+        for upper in (max(lower + 3, g.max_weight), max(lower + 9, g.max_weight)):
+            yield g, lower, upper
+
+
+def test_no_walk_takes_a_step_at_one_cluster(monkeypatch):
+    """A task of one cluster ends its descent: neither walk calls its
+    per-context kernel (``_split``, ``_first_candidate``) at count 1, and
+    solve, min and max give the recorded references' witnesses."""
+    counts = []
+
+    def recording(fn, at):  # records the count, argument ``at`` of ``fn``
+        def wrapper(*args):
+            counts.append(args[at])
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(backtrack, "_split", recording(backtrack._split, 3))
+    monkeypatch.setattr(backtrack, "_first_candidate", recording(backtrack._first_candidate, 2))
+    walked = 0
+    for g, lower, upper in _one_cluster_instances():
+        tree = build_tree(g)
+        root_ctx = (tree.root, tree.full_index(tree.root))
+        capped = ProblemParams(lower, upper, g.num_vertices)
+        mask_root = _recorded_root(tree, capped)
+        interval_root = recorded_states(tree, capped)[root_ctx]
+        feasible = sorted(annotate(tree, capped, "interval").feasible_counts())
+        for count in feasible[len(feasible) // 2:][:1]:  # solve at a middle count
+            params = ProblemParams(lower, upper, count)
+            assert reconstruct(annotate(tree, params, "tupleset")) == \
+                _recorded_witness(g, mask_root, lower, upper, count)
+            assert reconstruct(annotate(tree, params, "interval")) == \
+                recorded_witness(g, interval_root, params)
+            walked += 2
+        for fn, count in ((min_partition, min(feasible, default=None)),
+                          (max_partition, max(feasible, default=None))):
+            if count is None:
+                continue
+            assert fn(tree, lower, upper, algorithm="tupleset") == \
+                (count, _recorded_witness(g, mask_root, lower, upper, count))
+            assert fn(tree, lower, upper, algorithm="interval") == \
+                (count, recorded_witness(g, interval_root, ProblemParams(lower, upper, count)))
+            walked += 2
+    assert walked >= 400 and len(counts) >= 3000, (walked, len(counts))
+    assert 1 not in counts, (walked, len(counts))
 
 
 @pytest.mark.parametrize("algorithm", ["tupleset", "interval"])

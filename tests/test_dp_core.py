@@ -85,7 +85,9 @@ def test_leaf_set_rejects_heavy_vertex():
     lambda g, params: annotate(g, params, "tupleset"),
     lambda g, params: annotate(g, params, "interval"),
     lambda g, params: interval_subtree_sets(build_tree(g), params),
-], ids=["annotate-tupleset", "annotate-interval", "interval_subtree_sets"])
+    lambda g, params: interval_subtree_sets(g, params),
+], ids=["annotate-tupleset", "annotate-interval", "interval_subtree_sets",
+        "interval_subtree_sets-graph"])
 def test_a_vertex_above_upper_raises(run):
     """``annotate`` and ``interval_subtree_sets`` answer nothing early: a
     vertex heavier than ``u`` raises, as ``_prepare``'s docstring says."""

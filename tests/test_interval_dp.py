@@ -236,6 +236,15 @@ def test_single_vertex_interval():
     assert sets[("a", 0)] == {1: ((4, 4),)}
 
 
+def test_subtree_sets_of_a_graph_equal_those_of_its_tree():
+    """``interval_subtree_sets`` takes a graph or a tree, as the other
+    entry points do; a graph gets the tree ``build_tree`` gives it."""
+    for seed in range(20):
+        g = random_graph(seed, n=12, cycle_density=0.6)
+        params = ProblemParams(seed % 3, max(seed % 3 + 4, g.max_weight), 5)
+        assert interval_subtree_sets(g, params) == interval_subtree_sets(build_tree(g), params)
+
+
 def test_star_rooted_at_leaf():
     # leaf root -> hub -> two more leaves, all weight 1
     g = graph_from(

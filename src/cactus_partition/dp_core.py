@@ -25,27 +25,37 @@ node backwards: edge 1 is the closing edge, edge j >= 2 joins positions
 m-j and m-j+1, and it holds exactly the partitions that cut that edge
 or no cycle edge at all.
 
-A partition that cuts the cycle cuts at least two of its edges, and no
-cluster of two or more vertices, open or closed, weighs more than
-``upper`` (merges check it).  Edges 1..J join the arc of the start node
-and path nodes m-1, ..., m-J; once that arc weighs more than ``upper``,
-no cluster holds all of it, so every partition cuts one of edges 1..J
-and shows up in one of configurations 1..J.  The subtree set at the
-start node is the union of configurations 1..J, J the first index whose
-arc is too heavy, or m-1 when none is (:func:`cycle_cutoff`).  A cycle
-then costs O(m * J) combines instead of (m - 1)^2, folded in one pass
-(:func:`_fold_configurations`) that sets up the path edges once and
-skips ``lift``/``strip`` for algebras whose states ignore the
-configuration.  A partition in a
-configuration past J is also in one of 1..J, with the same aux (cost,
-weight or capacity), so the lowest configuration holding a key with its
-best aux lies in 1..J: the tuple-set and dict-variant witnesses, which
-come from that configuration, do not change.  The interval engine's
-stored upper endpoints above ``upper`` may, and so may the witnesses of
-its walk, which tries the intervals of every configuration.  The
-algebras name what their window bounds in ``arc_limit``:
-``(per-vertex quantity, upper)``, sizes for the size-weight algebra and
-vertex weights for the others.
+A partition that cuts the cycle cuts at least two of its edges.  Edges
+1..J join the arc of the start node and path nodes m-1, ..., m-J, and
+each bound can show that every partition cuts one of them, and so shows
+up in one of configurations 1..J:
+
+* upper: no cluster of two or more vertices, open or closed, weighs more
+  than ``upper`` (merges check it).  Once the arc weighs more than
+  ``upper``, no cluster holds all of it.
+* lower: a partition cutting none of edges 1..J makes all its cuts on the
+  path from the start node through node m-J.  Two such cuts close a
+  cluster inside path nodes 1..m-J-1 and what hangs below them.  That
+  cluster is not the start node's, so it must reach ``lower``: every
+  cut branch checks it (the mask and interval windows, ``x2 >= lower``
+  in the dict algebras).  Once those nodes and all below them weigh less
+  than ``lower``, no such cluster exists.
+
+The subtree set at the start node is the union of configurations 1..J,
+J the first index at which either bound holds, or m-1 when neither does
+(:func:`cycle_cutoff`).  A cycle then costs O(m * J) combines instead of
+(m - 1)^2, folded in one pass (:func:`_fold_configurations`) that sets
+up the path edges once and skips ``lift``/``strip`` for algebras whose
+states ignore the configuration.  A partition in a configuration past J
+is also in one of 1..J, with the same aux (cost, weight or capacity), so
+the lowest configuration holding a key with its best aux lies in 1..J:
+the tuple-set and dict-variant witnesses, which come from that
+configuration, do not change.  The interval engine's stored upper
+endpoints above ``upper`` may, and so may the witnesses of its walk,
+which tries the intervals of every configuration.  The algebras name
+what their window bounds in ``arc_limit``: ``(per-vertex quantity,
+lower, upper)``, sizes for the size-weight algebra and vertex weights
+for the others.
 
 The same traversal drives several payload algebras: a bitmask algebra for
 the tuple-set engine and the cost / size / capacity algebras of the
@@ -184,49 +194,78 @@ def run_tree_dp(tree, alg, *, frontier=False, fold_sink=None):
       chain state but the one it is folding.
 
     Every mode makes the same ``combine`` and ``union_configs`` calls.
+    When the tree has cycles, the loop also sums each node's full subtree
+    in the quantity of ``alg.arc_limit``, the cycles starting at the node
+    included, for :func:`cycle_cutoff`; a sum is dropped when its node's
+    state is taken.
     """
     sets, full = {}, {}  # full: v's full subtree state, until it is combined
     take = full.pop if frontier else full.__getitem__
     cycle_at, on_cycle_child, combine = tree.cycle_at, tree.on_cycle_child, alg.combine
+    quantity = alg.arc_limit[0] if cycle_at else None
+    below = {}  # below[v]: v's full subtree in ``quantity``, until it is combined
+    take_below = below.pop
     for v in tree.postorder():
         state = alg.base(v)
         kids = tree.children[v]
         if v in on_cycle_child:  # that last child joins at its cycle's start node instead
             kids = kids[:-1]
+        if quantity is not None:
+            total = quantity[v]
         for idx, child in enumerate(kids, start=1):
             if not frontier:
                 sets[(v, idx - 1)] = state
             cyc = cycle_at.get((v, idx)) if cycle_at else None
             if cyc is not None:  # the union of configurations 1..J
                 owns = [None, *map(take, cyc.path[1:])]
+                hang = [0, *map(take_below, cyc.path[1:])]
+                total += sum(hang)
                 keep = None if fold_sink is None else fold_sink((v, idx))
-                js = range(1, cycle_cutoff(alg, cyc) + 1)
+                js = range(1, cycle_cutoff(alg, cyc, hang) + 1)
                 state = alg.union_configs(_fold_configurations(alg, cyc, js, owns, state, keep), cyc)
             else:  # the edge is edge_key(v, child)
                 state = combine(state, take(child), (v, child) if v <= child else (child, v), None)
+                if quantity is not None:
+                    total += take_below(child)
         full[v] = state
+        if quantity is not None:
+            below[v] = total
         if not frontier:
             sets[(v, len(kids))] = state
     return {(tree.root, tree.full_index(tree.root)): full[tree.root]} if frontier else sets
 
 
-def cycle_cutoff(alg, cyc):
+def cycle_cutoff(alg, cyc, hang):
     """Number J of configurations whose union is the cycle's state.
 
-    J is the first index at which the start node and path nodes m-1, ...,
-    m-J together weigh more than the upper bound, in the quantity
-    ``alg.arc_limit`` names, and m-1 when no such index exists (see the
-    module docstring).
+    J is the smaller of two indices, in the quantity ``alg.arc_limit``
+    names (see the module docstring):
+
+    * the first j at which the start node and path nodes m-1, ..., m-j
+      together weigh more than the upper bound;
+    * the first j >= 1 at which path nodes 1, ..., m-j-1, with all that
+      hangs below them, weigh less than the lower bound;
+
+    and m-1 when neither exists.  ``hang[i]`` is the quantity of path node
+    i and all that hangs below it, the cycles starting at it included
+    (``hang[0]`` is not read).
     """
-    quantity, upper = alg.arc_limit
+    quantity, lower, upper = alg.arc_limit
     ws = cyc.path
     m = len(ws)
+    limit = m - 1
+    rest = 0  # path nodes 1..t and what hangs below them
+    for t in range(1, m - 1):
+        rest += hang[t]
+        if rest >= lower:
+            break
+        limit = m - 1 - t
     arc = quantity[ws[0]]
-    for j in range(1, m - 1):
+    for j in range(1, limit):
         arc += quantity[ws[m - j]]
         if arc > upper:
             return j
-    return m - 1
+    return limit
 
 
 def _fold_configurations(alg, cyc, js, owns, start_state, keep=None):
@@ -404,7 +443,7 @@ class MaskAlgebra(IdentityLift):
     def __init__(self, graph: CactusGraph, params: ProblemParams):
         self.graph = graph
         self.p = params.num_clusters
-        self.arc_limit = (graph.weight, params.upper)
+        self.arc_limit = (graph.weight, params.lower, params.upper)
         top = min(params.upper, graph.total_weight)
         self.full_mask = (1 << (top + 1)) - 1
         # clears the bits below ``lower`` without building a lower-wide mask
@@ -493,7 +532,7 @@ class TupleAlgebra(IdentityLift):
     def __init__(self, graph: CactusGraph, params: ProblemParams):
         self.graph = graph
         self.params = params
-        self.arc_limit = (graph.weight, params.upper)
+        self.arc_limit = (graph.weight, params.lower, params.upper)
 
     def base(self, v):
         return {(self.graph.weight[v], 1): (None, ("leaf", v))}

@@ -22,16 +22,25 @@ def gen_random_cactus(
     (3 to 6 vertices, sharing only its anchor) to a random existing
     vertex; ``cycle_density`` is the probability of choosing a cycle.
     Optional ranges add sizes, costs and capacities; otherwise the loader
-    defaults apply.
+    defaults apply.  ``n`` and the range bounds must be integers and
+    ``cycle_density`` a number, or :class:`InvalidParamsError` is raised.
     """
+    if not _is_int(n):
+        raise InvalidParamsError(f"vertex count must be an integer, got {n!r}")
     if n < 1:
         raise InvalidParamsError("need at least one vertex")
+    if isinstance(cycle_density, bool) or not isinstance(cycle_density, (int, float)):
+        raise InvalidParamsError(f"cycle density must be a number, got {cycle_density!r}")
     if not 0.0 <= cycle_density <= 1.0:
         raise InvalidParamsError("cycle density must be within [0, 1]")
     ranges = {"weight": weight_range, "size": size_range, "cost": cost_range,
               "capacity": capacity_range}
     for name, bounds in ranges.items():
-        if bounds is not None and not 0 <= bounds[0] <= bounds[1]:
+        if bounds is None:
+            continue
+        if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(map(_is_int, bounds))):
+            raise InvalidParamsError(f"bad {name} range {bounds!r}: need two integers")
+        if not 0 <= bounds[0] <= bounds[1]:
             raise InvalidParamsError(f"bad {name} range {bounds!r}")
     lo, hi = weight_range
 
@@ -73,3 +82,7 @@ def gen_random_cactus(
             entry["capacity"] = rng.randint(*capacity_range)
         edge_docs.append(entry)
     return {"vertices": vertices, "edges": edge_docs}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

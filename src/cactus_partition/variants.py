@@ -132,7 +132,7 @@ class CostAlgebra(_BestPerKey):
         self.lower = lower
         self.upper = upper
         self.count_cap = count_cap
-        self.arc_limit = (graph.weight, upper)
+        self.arc_limit = (graph.weight, lower, upper)
 
     def combine(self, a, b, edge, step):
         # _put inlined: a candidate's record is built only when it is stored
@@ -227,7 +227,7 @@ class SizeWeightAlgebra(_BestPerKey):
         self.bound = bound
         self.maximize = maximize
         self.better = operator.gt if maximize else operator.lt
-        self.arc_limit = (graph.size, upper)  # sizes take the bounded role
+        self.arc_limit = (graph.size, lower, upper)  # sizes take the bounded role
 
     def base(self, v):
         return {(self.graph.size[v], 1): (self.graph.weight[v], ("leaf", v))}
@@ -282,8 +282,11 @@ def minmax_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     the heaviest cluster of the partition that probe returned, a weight
     that is reached, often well below the probed bound.  The search ends
     with the bracket on one value, the weight of the partition returned.
-    Every probe runs on the same tree.
+    Every probe runs on the same tree.  ``num_clusters`` None raises
+    :class:`InvalidParamsError`: the search needs an exact count.
     """
+    if num_clusters is None:
+        raise InvalidParamsError("minmax_partition needs a cluster count, got None")
     tree, _params, reason = _prepare(graph, root, lower, upper, num_clusters, "size", stats)
     if reason:
         return None
@@ -313,6 +316,8 @@ def maxmin_partition(graph, lower, upper, num_clusters, root=None, stats=None):
     it move the lower end up to the lightest cluster of the partition
     they returned.
     """
+    if num_clusters is None:
+        raise InvalidParamsError("maxmin_partition needs a cluster count, got None")
     tree, _params, reason = _prepare(graph, root, lower, upper, num_clusters, "size", stats)
     if reason:
         return None
@@ -354,7 +359,7 @@ class CapacityAlgebra(_BestPerKey):
         self.weight_upper = weight_upper
         self.capacity_upper = capacity_upper
         self.count_cap = graph.num_vertices
-        self.arc_limit = (graph.weight, weight_upper)
+        self.arc_limit = (graph.weight, weight_lower, weight_upper)
 
     def combine(self, a, b, edge, step):
         # _put inlined: a candidate's record is built only when it is stored

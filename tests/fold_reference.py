@@ -7,18 +7,20 @@ Kept verbatim as the reference for ``cactus_partition.dp_core``:
 ``lift`` on every chain node and on the start state whatever the algebra,
 and always keeps the chain lists; ``configuration_state`` adds the last
 join and ``strip``; ``run_tree_dp`` unions configurations 1..J one
-``configuration_state`` call at a time.  The tests run both versions over
+``configuration_state`` call at a time, J from its definition
+(``util.arc_cutoff``).  The tests run both versions over
 the same trees and require the same states, configuration states and
 chain lists.
 """
 
 from __future__ import annotations
 
-from cactus_partition.dp_core import CycleStep, cycle_cutoff
+from cactus_partition.dp_core import CycleStep
 from cactus_partition.graph_model import edge_key
 from cactus_partition.tree_rep import absent_cycle_edge
 
 from dp_reference import cycle_node_states
+from util import arc_cutoff
 
 
 def run_tree_dp(tree, alg, config_sink=None):
@@ -48,7 +50,7 @@ def _cycle_union(tree, alg, sets, cyc, start_state, config_sink):
     """Union of configurations 1..J at the cycle's start node."""
     owns = cycle_node_states(tree, sets, cyc)
     configs = []
-    for j in range(1, cycle_cutoff(alg, cyc) + 1):
+    for j in range(1, arc_cutoff(tree.graph, cyc, *alg.arc_limit) + 1):
         step, state = configuration_state(alg, cyc, j, owns, start_state)
         configs.append((j, step, state))
         if config_sink is not None:

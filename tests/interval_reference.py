@@ -55,7 +55,7 @@ class IntervalAlgebra:
     def __init__(self, graph: CactusGraph, params: ProblemParams):
         self.graph = graph
         self.params = params
-        self.arc_limit = (graph.weight, params.upper)
+        self.arc_limit = (graph.weight, params.lower, params.upper)
 
     def base(self, v):
         w = self.graph.weight[v]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,11 +229,13 @@ def test_context_map_parts_rebuild_the_stored_states(algebra):
     state: the stored state of a tree context, the stored configuration
     state (after ``strip``) and, inside a configuration, the state its
     parent context was split into.  A cycle's start state is the union of
-    the configuration states the map hands out, configurations 1..J."""
+    the configuration states the map hands out, configurations 1..J,
+    under windows ``[0, 7]`` (only the upper bound cuts a cycle off) and
+    ``[2, 7]``."""
     joins = 0
-    for g in rings_and_necklaces():
+    for g, lower in itertools.product(rings_and_necklaces(), (0, 2)):
         tree = build_tree(g)
-        alg = algebra(g, ProblemParams(2, 7, g.num_vertices))
+        alg = algebra(g, ProblemParams(lower, 7, g.num_vertices))
         folds: dict = {}
         states, configs = run_with_configs(tree, alg, fold_sink=keep_every_fold(folds))
         contexts = ContextMap(tree, states, folds)
@@ -243,7 +247,7 @@ def test_context_map_parts_rebuild_the_stored_states(algebra):
             assert alg.combine(a, b, edge, None) == want
         for start, cyc in tree.cycle_at.items():
             wants = [state for _j, state in contexts.config_states(start)]
-            assert len(wants) == arc_cutoff(cyc, g.weight, 7)
+            assert len(wants) == arc_cutoff(g, cyc, g.weight, lower, 7)
             assert wants == [configs[(cyc, j)] for j in range(1, len(wants) + 1)]
             steps = [CycleStep(cyc, j, absent_cycle_edge(cyc, j)) for j in range(1, len(wants) + 1)]
             union = alg.union_configs([(s.j, s, w) for s, w in zip(steps, wants)], cyc)

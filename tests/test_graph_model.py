@@ -205,3 +205,21 @@ def test_generator_rejects_bad_ranges(ranges):
     name = next(iter(ranges)).removesuffix("_range")
     with pytest.raises(InvalidParamsError, match=f"bad {name} range"):
         gen_random_cactus(8, seed=1, **ranges)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": 5.0}, "vertex count must be an integer, got 5.0"),
+    ({"n": True}, "vertex count must be an integer, got True"),
+    ({"n": 5, "cycle_density": "0.5"}, "cycle density must be a number, got '0.5'"),
+    ({"n": 5, "weight_range": (1.5, 3)}, "bad weight range (1.5, 3): need two integers"),
+    ({"n": 5, "size_range": (0, 2.5)}, "bad size range (0, 2.5): need two integers"),
+    ({"n": 5, "cost_range": (0, 2, 4)}, "bad cost range (0, 2, 4): need two integers"),
+    ({"n": 5, "capacity_range": ("0", 2)}, "bad capacity range ('0', 2): need two integers"),
+])
+def test_generator_rejects_parameters_of_the_wrong_type(kwargs, message):
+    """A float count, a non-integer range bound or a string density is an
+    ``InvalidParamsError``, not a ``ValueError`` or ``TypeError`` out of
+    ``random``."""
+    with pytest.raises(InvalidParamsError) as info:
+        gen_random_cactus(seed=1, **kwargs)
+    assert str(info.value) == message

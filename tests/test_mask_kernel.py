@@ -134,7 +134,7 @@ def test_ring_states_match_recorded_algebra(m):
     assert masked.keys() == recorded.keys()
     for ctx, state in masked.items():
         assert _mask_state_to_set(state) == recorded[ctx].keys()
-    cutoff = arc_cutoff(tree.cycles[0], g.weight, params.upper)
+    cutoff = arc_cutoff(g, tree.cycles[0], g.weight, params.lower, params.upper)
     assert m < 10 or cutoff < m - 1
     assert mask_sink.keys() == tuple_sink.keys() and len(mask_sink) == cutoff
     for key, state in mask_sink.items():

@@ -264,6 +264,17 @@ def test_size_weight_search_builds_one_tree(fn, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fn", [minmax_partition, maxmin_partition])
+def test_size_weight_search_needs_a_cluster_count(fn, monkeypatch):
+    """No count is an error raised before any tree is built, from a graph
+    (a ``TypeError`` from ``W // None`` before)."""
+    calls = _count_tree_builds(monkeypatch)
+    g = random_graph(3, n=12, cycle_density=0.6, size_range=(1, 3))
+    with pytest.raises(InvalidParamsError, match=f"{fn.__name__} needs a cluster count, got None"):
+        fn(g, 0, sum(g.size.values()), None)
+    assert calls == []
+
+
 def test_entry_points_accept_a_tree(monkeypatch):
     solves = [
         lambda g: min_partition(g, 1, 6),

@@ -44,7 +44,7 @@ PINS = {
     'cactus-1000/min/tupleset': '45:e9763a3d5f9f3c74',
     'cactus-1000/min/interval': '45:955334f362a70b20',
     'cactus-1000/max/tupleset': '66:6f88a437b436dc56',
-    'cactus-1000/max/interval': '66:04efc84de4f5e108',
+    'cactus-1000/max/interval': '66:de9d3adcb453f66d',
     'cactus-2000/solve/tupleset': 'dc3c3dc43940abad',
     'cactus-2000/solve/interval': 'ce196010c68721d5',
     'cactus-2000/min/tupleset': '94:b2fc11b3344b52dc',

@@ -87,12 +87,30 @@ def rings_and_necklaces():
         yield random_graph(seed, n=16, cycle_density=0.8)
 
 
-def arc_cutoff(cycle, quantity, upper):
+def arc_cutoff(graph, cycle, quantity, lower, upper):
     """Configurations a run folds for ``cycle``, recomputed from the
-    definition: the first J whose arc (the start node, then path nodes
-    m-1, m-2, ..., m-J) outweighs ``upper`` in ``quantity``, or m-1."""
+    definition: the first J at which the arc (the start node, then path
+    nodes m-1, m-2, ..., m-J) outweighs ``upper`` in ``quantity``, or the
+    rest (path nodes 1..m-J-1 and all that hangs below them) weighs less
+    than ``lower``, or m-1.  What hangs below a path node is found by a
+    search of ``graph`` that enters no other vertex of the cycle."""
     path, m = cycle.path, cycle.length
     for j in range(1, m - 1):
         if sum(quantity[v] for v in (path[0],) + path[m - j:]) > upper:
             return j
+        if sum(quantity[v] for v in _hanging(graph, cycle, path[1 : m - j])) < lower:
+            return j
     return m - 1
+
+
+def _hanging(graph, cycle, nodes):
+    """``nodes``, path nodes of ``cycle``, with every vertex reachable from
+    them without passing another vertex of the cycle."""
+    on_cycle = set(cycle.path)
+    seen, stack = set(nodes), list(nodes)
+    while stack:
+        for w in graph.adjacency[stack.pop()]:
+            if w not in seen and w not in on_cycle:
+                seen.add(w)
+                stack.append(w)
+    return seen

@@ -35,7 +35,7 @@ class CostAlgebra:
         self.upper = upper
         self.count_cap = count_cap
         self.reduce_sets = reduce_sets
-        self.arc_limit = (graph.weight, upper)
+        self.arc_limit = (graph.weight, lower, upper)
 
     def _put(self, out, key, cost, rec):
         if not self.reduce_sets:
@@ -124,7 +124,7 @@ class SizeWeightAlgebra:
         self.count = count
         self.bound = bound
         self.maximize = maximize
-        self.arc_limit = (graph.size, upper)
+        self.arc_limit = (graph.size, lower, upper)
 
     def _put(self, out, key, weight, rec):
         cur = out.get(key)
@@ -183,7 +183,7 @@ class CapacityAlgebra:
         self.weight_upper = weight_upper
         self.capacity_upper = capacity_upper
         self.count_cap = graph.num_vertices
-        self.arc_limit = (graph.weight, weight_upper)
+        self.arc_limit = (graph.weight, weight_lower, weight_upper)
 
     def _put(self, out, key, cap, rec):
         cur = out.get(key)

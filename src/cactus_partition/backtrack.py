@@ -278,31 +278,32 @@ def collect_cuts(state: dict, key) -> set:
     """Walk tuple records from ``state[key]`` and gather the cut edges.
 
     Shared by the recorded algebras (the optimisation variants' and
-    ``TupleAlgebra``), whose records all have the same shape.  The absent
-    edge of a cycle configuration is always included; when the whole
-    cycle ends up in one cluster it is harmless and disappears during
-    canonicalisation.
+    ``TupleAlgebra``), whose entries all have the same flat shape: the
+    aux, then the record's tag and fields (``variants._BestPerKey``).  The
+    absent edge of a cycle configuration is always included; when the
+    whole cycle ends up in one cluster it is harmless and disappears
+    during canonicalisation.
     """
     cuts: set = set()
     stack = [(state, key)]
     while stack:
         st, k = stack.pop()
-        _aux, rec = st[k]
-        tag = rec[0]
+        entry = st[k]
+        tag = entry[1]
         if tag == "leaf":
             continue
         if tag == "step":
-            _, branch, a_st, a_key, b_st, b_key, edge = rec
+            _aux, _, branch, a_st, a_key, b_st, b_key, edge = entry
             if branch == "cut":
                 cuts.add(edge)
             stack.append((a_st, a_key))
             stack.append((b_st, b_key))
         elif tag == "cfg":
-            _, _j, absent, inner_st, inner_key = rec
+            _aux, _, _j, absent, inner_st, inner_key = entry
             cuts.add(absent)
             stack.append((inner_st, inner_key))
         elif tag in ("lift", "strip"):
-            _, inner_st, inner_key = rec
+            _aux, _, inner_st, inner_key = entry
             stack.append((inner_st, inner_key))
         else:  # pragma: no cover - record shapes are fixed at build time
             raise WitnessNotFoundError(f"unknown record {tag!r}")

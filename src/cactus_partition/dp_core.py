@@ -517,7 +517,7 @@ class MaskAlgebra(IdentityLift):
 
 
 class TupleAlgebra(IdentityLift):
-    """Subtree sets as ``{(x, k): (None, record)}`` dictionaries.
+    """Subtree sets as ``{(x, k): (None, *record)}`` dictionaries.
 
     Records point at the states and keys they were combined from, so a
     partition can be rebuilt by walking them with ``collect_cuts``.  One
@@ -535,7 +535,7 @@ class TupleAlgebra(IdentityLift):
         self.arc_limit = (graph.weight, params.lower, params.upper)
 
     def base(self, v):
-        return {(self.graph.weight[v], 1): (None, ("leaf", v))}
+        return {(self.graph.weight[v], 1): (None, "leaf", v)}
 
     def combine(self, a, b, edge, step):
         lower, upper = self.params.lower, self.params.upper
@@ -547,11 +547,11 @@ class TupleAlgebra(IdentityLift):
                 if feasible and k1 + k2 <= p:
                     key = (x1, k1 + k2)
                     if key not in out:
-                        out[key] = (None, ("step", "cut", a, (x1, k1), b, (x2, k2), edge))
+                        out[key] = (None, "step", "cut", a, (x1, k1), b, (x2, k2), edge)
                 if x1 + x2 <= upper and k1 + k2 - 1 <= p:
                     key = (x1 + x2, k1 + k2 - 1)
                     if key not in out:
-                        out[key] = (None, ("step", "merge", a, (x1, k1), b, (x2, k2), edge))
+                        out[key] = (None, "step", "merge", a, (x1, k1), b, (x2, k2), edge)
         return out
 
     def union_configs(self, configs, cycle):
@@ -559,7 +559,7 @@ class TupleAlgebra(IdentityLift):
         for j, step, state in configs:
             for key in sorted(state):
                 if key not in out:
-                    out[key] = (None, ("cfg", j, step.absent_edge, state, key))
+                    out[key] = (None, "cfg", j, step.absent_edge, state, key)
         return out
 
 

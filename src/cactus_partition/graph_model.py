@@ -287,48 +287,45 @@ def canonicalize_partition(graph: CactusGraph, cut: set[Edge] | frozenset[Edge])
     the returned cut set reproduces the same clusters.
     """
     removed = {edge_key(u, v) for (u, v) in cut}
-    unknown = removed - set(graph.edges)
+    unknown = [e for e in removed if e not in graph.cost]  # cost is keyed by the edges
     if unknown:
         raise GraphError(f"cut contains non-edges: {sorted(unknown)}")
+    severed: dict[str, set[str]] = {}  # vertex -> its neighbours across a cut edge
+    for u, v in removed:
+        severed.setdefault(u, set()).add(v)
+        severed.setdefault(v, set()).add(u)
 
-    comp: dict[str, int] = {}
+    adjacency = graph.adjacency
+    seen: set[str] = set()
     clusters: list[list[str]] = []
     for start in graph.vertices:
-        if start in comp:
+        if start in seen:
             continue
-        idx = len(clusters)
-        comp[start] = idx
+        seen.add(start)
         members = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in graph.adjacency[v]:
-                if w in comp or edge_key(v, w) in removed:
-                    continue
-                comp[w] = idx
-                members.append(w)
-                stack.append(w)
+        for v in members:  # the list grows as the search reaches new vertices
+            cut_off = severed.get(v, ())
+            for w in adjacency[v]:
+                if w not in seen and w not in cut_off:
+                    seen.add(w)
+                    members.append(w)
         clusters.append(sorted(members))
 
     clusters.sort(key=lambda c: c[0])
     index = {v: i for i, members in enumerate(clusters) for v in members}
 
-    cut_edges = []
+    # only a cut edge can join two clusters
+    cut_edges = sorted(e for e in removed if index[e[0]] != index[e[1]])
     capacities = [0] * len(clusters)
-    cost = 0
-    for (u, v) in graph.edges:
-        iu, iv = index[u], index[v]
-        if iu != iv:
-            cut_edges.append((u, v))
-            cost += graph.cost[(u, v)]
-            capacities[iu] += graph.capacity[(u, v)]
-            capacities[iv] += graph.capacity[(u, v)]
+    for e in cut_edges:
+        capacities[index[e[0]]] += graph.capacity[e]
+        capacities[index[e[1]]] += graph.capacity[e]
 
     return Partition(
         clusters=tuple(tuple(c) for c in clusters),
-        cut_edges=tuple(sorted(cut_edges)),
+        cut_edges=tuple(cut_edges),
         weights=tuple(sum(graph.weight[v] for v in c) for c in clusters),
         sizes=tuple(sum(graph.size[v] for v in c) for c in clusters),
         capacities=tuple(capacities),
-        cost=cost,
+        cost=sum(graph.cost[e] for e in cut_edges),
     )

@@ -10,7 +10,8 @@ payloads:
   a flag inside cycles recording whether the cycle was cut at all (if so,
   the configuration's absent edge is also a cut edge and its cost is
   added when the cycle is closed off); only the cheapest tuple per
-  remaining key is kept;
+  remaining key is kept.  Without a requested count every key keeps count
+  1, so the states hold one entry per weight (and flag);
 * min-max / max-min weight with vertex sizes: sizes take the role of the
   bounded quantity, tuples carry the weight of the cluster around the
   subtree root, and a binary search over the weight bound finds the
@@ -25,10 +26,13 @@ payloads:
   meet at the start node.
 
 The cost, size-weight and capacity algebras share ``_BestPerKey``: one
-entry per key, and a candidate replaces the stored entry only when its
-aux is strictly better, so the first best candidate in sorted order keeps
-its record.  ``combine`` and ``union_configs`` are named in each class
-body, because perfbench's tracer wraps them per class.
+flat entry ``(aux, *record)`` per key, and a candidate replaces the
+stored entry only when its aux is strictly better, so the first best
+candidate in sorted order keeps its record.  Their combines skip the
+candidates that could not replace anything (see ``_BestPerKey``), so the
+states are those of a combine that offers every candidate.  ``combine``
+and ``union_configs`` are named in each class body, because perfbench's
+tracer wraps them per class.
 
 Every entry point takes a graph or a ``CactusTree`` built from one (its
 ``root`` argument is then ignored), so one tree can serve several solves,
@@ -51,29 +55,42 @@ from .graph_model import canonicalize_partition
 
 
 class _BestPerKey(IdentityLift):
-    """States ``{key: (aux, record)}`` keeping the first best aux per key.
+    """States ``{key: (aux, tag, ...)}`` keeping the first best aux per key.
 
+    An entry is one flat tuple, its aux followed by its record: ``(aux,
+    "leaf", v)``, ``(aux, "step", branch, a, akey, b, bkey, edge)``,
+    ``(aux, "cfg", j, absent_edge, state, key)`` or ``(aux, "lift" |
+    "strip", state, key)``.  A record names the states it came from, so
+    the collector tracks every entry; one tuple per entry halves that.
     :meth:`_put` replaces an entry only with a strictly ``better`` aux, so
     on ties the candidate met first in sorted order keeps its record.
+
+    The combines build an entry only when it is stored, and skip the
+    candidates that cannot be: a cut candidate's key depends only on the
+    parent entry and the child's count ``k2``, so once a child entry of
+    count ``k2`` has offered its cuts, a later one (sorted order) offers
+    the same keys again, stored only if its aux is strictly better.  And
+    the parent's entries ascend by weight, so a child entry that offers no
+    cut ends its loop at the first parent entry too heavy to merge with.
     Subclasses bind ``combine`` and ``union_configs`` in their own bodies,
     where perfbench's tracer wraps them per class.
     """
 
     better = operator.lt
 
-    def _put(self, out, key, aux, rec):
+    def _put(self, out, key, entry):
         cur = out.get(key)
-        if cur is None or self.better(aux, cur[0]):
-            out[key] = (aux, rec)
+        if cur is None or self.better(entry[0], cur[0]):
+            out[key] = entry
 
     def base(self, v):
-        return {(self.graph.weight[v], 1): (0, ("leaf", v))}
+        return {(self.graph.weight[v], 1): (0, "leaf", v)}
 
     def union_configs(self, configs, cycle):
         out: dict = {}
         for j, step, state in configs:
-            for key, (aux, _rec) in sorted(state.items()):
-                self._put(out, key, aux, ("cfg", j, step.absent_edge, state, key))
+            for key, entry in sorted(state.items()):
+                self._put(out, key, (entry[0], "cfg", j, step.absent_edge, state, key))
         return out
 
 
@@ -88,10 +105,10 @@ def _best_witness(tree, alg, stats, rank):
     _record_cells(stats, states)
     root_state = states[(tree.root, tree.full_index(tree.root))]
     best = None
-    for key, (aux, _rec) in sorted(root_state.items()):
-        score = rank(key, aux)
+    for key, entry in sorted(root_state.items()):
+        score = rank(key, entry[0])
         if score is not None and (best is None or score < best[0]):
-            best = (score, key, aux)
+            best = (score, key, entry[0])
     if best is None:
         return None
     _score, key, aux = best
@@ -121,10 +138,13 @@ def max_partition(graph, lower, upper, root=None, algorithm="interval", stats=No
 
 
 class CostAlgebra(_BestPerKey):
-    """Tuples ``(cluster weight, count) -> (cost, record)``.
+    """Tuples ``(cluster weight, count) -> (cost, *record)``.
 
     Inside cycles the key grows a flag telling whether the cycle has been
-    cut.
+    cut.  With ``count_cap`` None (min-cost without a count) every key
+    keeps count 1, a cut's included: the count would never decide whether
+    a partial partition can be finished, so the cheapest entry per weight
+    and flag is all a run needs.
     """
 
     def __init__(self, graph, lower, upper, count_cap):
@@ -135,25 +155,37 @@ class CostAlgebra(_BestPerKey):
         self.arc_limit = (graph.weight, lower, upper)
 
     def combine(self, a, b, edge, step):
-        # _put inlined: a candidate's record is built only when it is stored
+        # _put inlined: an entry is built only when it is stored
         edge_cost = self.graph.cost[edge]
-        lower, upper, count_cap = self.lower, self.upper, self.count_cap
+        lower, upper = self.lower, self.upper
+        free = 1 if self.count_cap is None else 0  # a cut adds no cluster to the key
+        count_cap = 1 if free else self.count_cap
         in_cycle = step is not None
         out: dict = {}
+        offered: dict = {}  # k2 -> the lowest child cost whose cuts were offered
         a_items = sorted(a.items())
-        for bkey, (c2, _recb) in sorted(b.items()):
+        for bkey, b_entry in sorted(b.items()):
             x2, k2 = bkey[0], bkey[1]
+            c2 = b_entry[0]
             b2 = bkey[2] if in_cycle else 0
-            cut_ok = x2 >= lower
-            for akey, (c1, _reca) in a_items:
+            cut = x2 >= lower and (k2 not in offered or c2 < offered[k2])
+            if cut:
+                offered[k2] = c2
+            room = upper - x2
+            for akey, a_entry in a_items:
                 x1, k1 = akey[0], akey[1]
-                if cut_ok and k1 + k2 <= count_cap:
+                c1 = a_entry[0]
+                if cut and k1 + k2 - free <= count_cap:
                     cost = c1 + c2 + edge_cost
-                    key = (x1, k1 + k2, 1) if in_cycle else (x1, k1 + k2)
+                    key = (x1, k1 + k2 - free, 1) if in_cycle else (x1, k1 + k2 - free)
                     cur = out.get(key)
                     if cur is None or cost < cur[0]:
-                        out[key] = (cost, ("step", "cut", a, akey, b, bkey, edge))
-                if x1 + x2 <= upper and k1 + k2 - 1 <= count_cap:
+                        out[key] = (cost, "step", "cut", a, akey, b, bkey, edge)
+                if x1 > room:
+                    if cut:
+                        continue
+                    break
+                if k1 + k2 - 1 <= count_cap:
                     cost = c1 + c2
                     key = (
                         (x1 + x2, k1 + k2 - 1, akey[2] | b2)
@@ -162,28 +194,24 @@ class CostAlgebra(_BestPerKey):
                     )
                     cur = out.get(key)
                     if cur is None or cost < cur[0]:
-                        out[key] = (cost, ("step", "merge", a, akey, b, bkey, edge))
+                        out[key] = (cost, "step", "merge", a, akey, b, bkey, edge)
         return out
 
     union_configs = _BestPerKey.union_configs
 
     def lift(self, state, step, charged):
         out: dict = {}
-        for key, (cost, _rec) in sorted(state.items()):
-            self._put(out, (key[0], key[1], 0), cost, ("lift", state, key))
+        for key, entry in sorted(state.items()):
+            self._put(out, (key[0], key[1], 0), (entry[0], "lift", state, key))
         return out
 
     def strip(self, state, step):
         absent_cost = self.graph.cost[step.absent_edge]
         out: dict = {}
-        for key, (cost, _rec) in sorted(state.items()):
+        for key, entry in sorted(state.items()):
             x, k, flag = key[0], key[1], key[2]
-            self._put(
-                out,
-                (x, k),
-                cost + (absent_cost if flag else 0),
-                ("strip", state, key),
-            )
+            cost = entry[0] + (absent_cost if flag else 0)
+            self._put(out, (x, k), (cost, "strip", state, key))
         return out
 
 
@@ -192,13 +220,14 @@ def min_cost_partition(graph, lower, upper, num_clusters=None, root=None, stats=
 
     The cost of a partition is the total cost of edges between clusters,
     counting the closing edge of a cut cycle exactly once.  With
-    ``num_clusters`` given, only partitions of exactly that size count.
-    Returns ``(cost, partition)`` or None.
+    ``num_clusters`` given, only partitions of exactly that size count;
+    without it the run keys on the root cluster's weight (and a cycle's
+    flag) alone.  Returns ``(cost, partition)`` or None.
     """
-    tree, params, reason = _prepare(graph, root, lower, upper, num_clusters, stats=stats)
+    tree, _params, reason = _prepare(graph, root, lower, upper, num_clusters, stats=stats)
     if reason:
         return None
-    alg = CostAlgebra(tree.graph, lower, upper, params.num_clusters)
+    alg = CostAlgebra(tree.graph, lower, upper, num_clusters)
     found = _best_witness(tree, alg, stats, lambda key, cost: (
         cost if lower <= key[0] <= upper and num_clusters in (None, key[1]) else None
     ))
@@ -210,7 +239,7 @@ def min_cost_partition(graph, lower, upper, num_clusters=None, root=None, stats=
 
 
 class SizeWeightAlgebra(_BestPerKey):
-    """Tuples ``(cluster size, count) -> (cluster weight, record)``.
+    """Tuples ``(cluster size, count) -> (cluster weight, *record)``.
 
     Sizes play the bounded role; the weight of the cluster around the
     subtree root rides along.  For the min-max problem merged weights may
@@ -230,31 +259,41 @@ class SizeWeightAlgebra(_BestPerKey):
         self.arc_limit = (graph.size, lower, upper)  # sizes take the bounded role
 
     def base(self, v):
-        return {(self.graph.size[v], 1): (self.graph.weight[v], ("leaf", v))}
+        return {(self.graph.size[v], 1): (self.graph.weight[v], "leaf", v)}
 
     def combine(self, a, b, edge, step):
-        # _put inlined: a candidate's record is built only when it is stored
+        # _put inlined: an entry is built only when it is stored
         lower, upper, count, bound = self.lower, self.upper, self.count, self.bound
         maximize, better = self.maximize, self.better
         out: dict = {}
+        offered = set()  # child counts whose cuts were offered: a cut's aux is y1 alone
         a_items = sorted(a.items())
-        for bkey, (y2, _recb) in sorted(b.items()):
+        for bkey, b_entry in sorted(b.items()):
             x2, k2 = bkey
-            cut_ok = x2 >= lower and (not maximize or y2 >= bound)
-            for akey, (y1, _reca) in a_items:
+            y2 = b_entry[0]
+            cut = x2 >= lower and (not maximize or y2 >= bound) and k2 not in offered
+            if cut:
+                offered.add(k2)
+            room = upper - x2
+            for akey, a_entry in a_items:
                 x1, k1 = akey
-                if cut_ok and k1 + k2 <= count:
+                y1 = a_entry[0]
+                if cut and k1 + k2 <= count:
                     key = (x1, k1 + k2)
                     cur = out.get(key)
                     if cur is None or better(y1, cur[0]):
-                        out[key] = (y1, ("step", "cut", a, akey, b, bkey, edge))
-                if x1 + x2 <= upper and k1 + k2 - 1 <= count:
+                        out[key] = (y1, "step", "cut", a, akey, b, bkey, edge)
+                if x1 > room:
+                    if cut:
+                        continue
+                    break
+                if k1 + k2 - 1 <= count:
                     y = y1 + y2
                     if maximize or y <= bound:
                         key = (x1 + x2, k1 + k2 - 1)
                         cur = out.get(key)
                         if cur is None or better(y, cur[0]):
-                            out[key] = (y, ("step", "merge", a, akey, b, bkey, edge))
+                            out[key] = (y, "step", "merge", a, akey, b, bkey, edge)
         return out
 
     union_configs = _BestPerKey.union_configs
@@ -341,7 +380,7 @@ def maxmin_partition(graph, lower, upper, num_clusters, root=None, stats=None):
 
 
 class CapacityAlgebra(_BestPerKey):
-    """Tuples ``(cluster weight, count) -> (committed capacity, record)``.
+    """Tuples ``(cluster weight, count) -> (committed capacity, *record)``.
 
     The capacity of a cluster is the total capacity of edges leaving it;
     cutting an edge charges both sides.  Cycle keys carry a phase: 1 when
@@ -362,28 +401,38 @@ class CapacityAlgebra(_BestPerKey):
         self.arc_limit = (graph.weight, weight_lower, weight_upper)
 
     def combine(self, a, b, edge, step):
-        # _put inlined: a candidate's record is built only when it is stored
+        # _put inlined: an entry is built only when it is stored
         edge_cap = self.graph.capacity[edge]
         cap_max = self.capacity_upper
         lower, upper, count_cap = self.weight_lower, self.weight_upper, self.count_cap
         in_cycle = step is not None
         out: dict = {}
+        offered = set()  # child counts whose cuts were offered: a cut's aux is y1 + edge_cap
         a_items = sorted(a.items())
-        for bkey, (y2, _recb) in sorted(b.items()):
+        for bkey, b_entry in sorted(b.items()):
             x2, k2 = bkey[0], bkey[1]
+            y2 = b_entry[0]
             b2 = bkey[2] if in_cycle else -1
             # phase 0 forbids cuts on the cycle
-            cut_ok = x2 >= lower and y2 + edge_cap <= cap_max and b2 != 0
-            for akey, (y1, _reca) in a_items:
+            cut = x2 >= lower and y2 + edge_cap <= cap_max and b2 != 0 and k2 not in offered
+            if cut:
+                offered.add(k2)
+            room = upper - x2
+            for akey, a_entry in a_items:
                 x1, k1 = akey[0], akey[1]
+                y1 = a_entry[0]
                 b1 = akey[2] if in_cycle else -1
-                if cut_ok and k1 + k2 <= count_cap and y1 + edge_cap <= cap_max and b1 != 0:
+                if cut and k1 + k2 <= count_cap and y1 + edge_cap <= cap_max and b1 != 0:
                     y = y1 + edge_cap
                     key = (x1, k1 + k2, 1) if in_cycle else (x1, k1 + k2)
                     cur = out.get(key)
                     if cur is None or y < cur[0]:
-                        out[key] = (y, ("step", "cut", a, akey, b, bkey, edge))
-                if x1 + x2 <= upper and y1 + y2 <= cap_max and k1 + k2 - 1 <= count_cap:
+                        out[key] = (y, "step", "cut", a, akey, b, bkey, edge)
+                if x1 > room:
+                    if cut:
+                        continue
+                    break
+                if y1 + y2 <= cap_max and k1 + k2 - 1 <= count_cap:
                     if in_cycle:
                         if b1 >= 0 and b2 >= 0 and b1 != b2:
                             continue
@@ -393,7 +442,7 @@ class CapacityAlgebra(_BestPerKey):
                     y = y1 + y2
                     cur = out.get(key)
                     if cur is None or y < cur[0]:
-                        out[key] = (y, ("step", "merge", a, akey, b, bkey, edge))
+                        out[key] = (y, "step", "merge", a, akey, b, bkey, edge)
         return out
 
     union_configs = _BestPerKey.union_configs
@@ -401,23 +450,22 @@ class CapacityAlgebra(_BestPerKey):
     def lift(self, state, step, charged):
         absent_cap = self.graph.capacity[step.absent_edge]
         out: dict = {}
-        for key, (y, _rec) in sorted(state.items()):
-            x, k = key[0], key[1]
-            rec = ("lift", state, key)
+        for key, entry in sorted(state.items()):
+            x, k, y = key[0], key[1], entry[0]
             if charged:
-                out[(x, k, 0)] = (y, rec)
+                out[(x, k, 0)] = (y, "lift", state, key)
                 if y + absent_cap <= self.capacity_upper:
-                    out[(x, k, 1)] = (y + absent_cap, rec)
+                    out[(x, k, 1)] = (y + absent_cap, "lift", state, key)
             else:
-                out[(x, k, -1)] = (y, rec)
+                out[(x, k, -1)] = (y, "lift", state, key)
         return out
 
     def strip(self, state, step):
         out: dict = {}
-        for key, (y, _rec) in sorted(state.items()):
+        for key, entry in sorted(state.items()):
             x, k, phase = key
             assert phase >= 0, "cycle phase never resolved"
-            self._put(out, (x, k), y, ("strip", state, key))
+            self._put(out, (x, k), (entry[0], "strip", state, key))
         return out
 
 

@@ -119,9 +119,16 @@ def _dict_algebras(seed):
     return g, build_tree(g), algebras
 
 
+def _aux_record(entry):
+    """An entry's aux and record: the package's flat ``(aux, tag, ...)``
+    or ``variants_reference``'s ``(aux, (tag, ...))``."""
+    return (entry[0], entry[1]) if len(entry) == 2 else (entry[0], entry[1:])
+
+
 def _entries(state):
     """Keys in order, aux values and the configuration each record names."""
-    return [(key, aux, rec[1], rec[2], rec[4]) for key, (aux, rec) in state.items()]
+    return [(key, aux, rec[1], rec[2], rec[4])
+            for key, (aux, rec) in ((key, _aux_record(entry)) for key, entry in state.items())]
 
 
 def test_dict_unions_over_every_configuration_equal_the_cut_off_unions():
@@ -260,7 +267,7 @@ def test_size_weight_cutoff_reads_sizes():
 def _plain(state):
     """A dict algebra's state with the states its records name left out."""
     return [(key, aux, [x for x in rec if not isinstance(x, dict)])
-            for key, (aux, rec) in state.items()]
+            for key, (aux, rec) in ((key, _aux_record(entry)) for key, entry in state.items())]
 
 
 def test_states_equal_a_run_that_folds_every_configuration(monkeypatch):

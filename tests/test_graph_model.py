@@ -154,6 +154,29 @@ def test_canonicalize_rejects_a_non_edge():
     assert type(info.value) is GraphError and str(info.value) == "cut contains non-edges: [('n0', 'n2')]"
 
 
+def _triangle_with_tail():
+    """Triangle a-c-e with the path e-b-f-d hanging off e."""
+    edges = [("a", "c"), ("c", "e"), ("a", "e"), ("e", "b"), ("b", "f"), ("f", "d")]
+    return graph_from(dict.fromkeys("abcdef", 1), edges)
+
+
+def test_canonicalize_orders_clusters_by_their_least_vertex():
+    """Cut edges in either orientation; each cluster sorted, the clusters
+    by their first vertex, though the search from a meets e, b before c."""
+    part = canonicalize_partition(_triangle_with_tail(), {("c", "a"), ("e", "c"), ("f", "b")})
+    assert part.clusters == (("a", "b", "e"), ("c",), ("d", "f"))
+    assert part.cut_edges == (("a", "c"), ("b", "f"), ("c", "e"))
+    assert part.weights == (3, 1, 2)
+
+
+def test_canonicalize_names_every_non_edge_sorted():
+    cut = {("b", "a"), ("e", "c"), ("x", "a"), ("a", "d")}
+    with pytest.raises(GraphError) as info:
+        canonicalize_partition(_triangle_with_tail(), cut)
+    assert type(info.value) is GraphError
+    assert str(info.value) == "cut contains non-edges: [('a', 'b'), ('a', 'd'), ('a', 'x')]"
+
+
 def test_aggregates():
     g = triangle(w=(1, 2, 4), costs=(10, 20, 30), capacities=(1, 1, 1))
     part = canonicalize_partition(g, {("a", "b"), ("b", "c")})

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +108,45 @@ def test_min_cost_reduction_is_safe():
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert fast[0] == slow
+
+
+def test_min_cost_without_a_count_keys_on_weight_alone():
+    """Without ``p`` every key keeps count 1: on a 200-vertex unit path
+    over [1, 200] the states hold one entry per weight, not one per
+    weight and count (1,333,699 cells when counts were kept)."""
+    stats = {}
+    cost, part = min_cost_partition(path([1] * 200), 1, 200, stats=stats)
+    assert cost == 0 and all(1 <= w <= 200 for w in part.weights)
+    assert stats["dp_cells"] <= 100_000
+
+
+def test_min_cost_without_a_count_matches_oracle_on_ties():
+    """Dense cycles and costs 0-2 give many optimal partitions.  The
+    optimum equals the oracle's and the reference's, which keys on the
+    count too, and the witness is a valid partition of that cost."""
+    ties = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        g = random_graph(seed, n=rng.randint(4, 10), cycle_density=0.9, cost_range=(0, 2))
+        lower = rng.randint(0, 4)
+        upper = lower + rng.randint(2, 9)
+        catalog = enumerate_all(g)
+        expected = oracle_min_cost(catalog, lower, upper)
+        got = min_cost_partition(g, lower, upper)
+        assert (got is None) == (expected is None), seed
+        if got is None:
+            continue
+        tree = build_tree(g)
+        alg = variants_reference.CostAlgebra(g, lower, upper, g.num_vertices)
+        root_state = run_tree_dp(tree, alg)[(tree.root, tree.full_index(tree.root))]
+        reference = min(cost for (x, _k), (cost, _rec) in root_state.items() if lower <= x <= upper)
+        cost, part = got
+        assert cost == expected[0] == reference == part.cost, seed
+        assert all(lower <= w <= upper for w in part.weights), seed
+        assert part in catalog.partitions, seed
+        ties += sum(p.cost == cost and all(lower <= w <= upper for w in p.weights)
+                    for p in catalog.partitions) > 1
+    assert ties > 30  # 44 of these instances have two or more optimal partitions
 
 
 def test_minmax_balanced_split():

@@ -7,11 +7,15 @@ package's algebras build a record only for an entry they store and mark
 that phase with -1.  Run over the same trees, both must give the same
 states, key for key in the same order with the same aux values and
 records naming the same keys, and the same cut set for every root key.  The lifted and chain states inside
-cycle configurations, where the phase marks live, are compared too.
+cycle configurations, where the phase marks live, are compared too.  The
+package stores each entry flat, ``(aux, tag, ...)``, and the reference as
+``(aux, (tag, ...))``.  The package's combines also skip the candidates
+that could not be stored, which the hand-built combines at the end pin.
 """
 
 import random
 
+import pytest
 import variants_reference as ref
 
 from cactus_partition import build_tree, variants
@@ -20,7 +24,7 @@ from cactus_partition.dp_core import CycleStep
 from cactus_partition.tree_rep import absent_cycle_edge
 
 from dp_reference import cycle_node_states, fold_configuration, run_with_configs
-from util import random_graph
+from util import graph_from, random_graph
 
 INSTANCES = 1000
 
@@ -107,11 +111,33 @@ def _choice(rec):
 
 
 def _same_state(got, want, where):
+    """The package's flat entries ``(aux, tag, ...)`` against the
+    reference's ``(aux, (tag, ...))``."""
     assert list(got) == [_plain(key) for key in want], where
-    assert [aux for aux, _rec in got.values()] == [aux for aux, _rec in want.values()], where
-    assert [_choice(rec) for _aux, rec in got.values()] == [
+    assert [entry[0] for entry in got.values()] == [aux for aux, _rec in want.values()], where
+    assert [_choice(entry[1:]) for entry in got.values()] == [
         _choice(rec) for _aux, rec in want.values()
     ], where
+
+
+def _reference_cuts(state, key):
+    """``collect_cuts`` over the reference's ``(aux, record)`` entries."""
+    cuts = set()
+    stack = [(state, key)]
+    while stack:
+        st, k = stack.pop()
+        rec = st[k][1]
+        if rec[0] == "step":
+            _, branch, a_st, a_key, b_st, b_key, edge = rec
+            if branch == "cut":
+                cuts.add(edge)
+            stack += [(a_st, a_key), (b_st, b_key)]
+        elif rec[0] == "cfg":
+            cuts.add(rec[2])
+            stack.append((rec[3], rec[4]))
+        elif rec[0] in ("lift", "strip"):
+            stack.append((rec[1], rec[2]))
+    return cuts
 
 
 def test_dict_algebras_match_recorded_reference():
@@ -138,7 +164,7 @@ def test_dict_algebras_match_recorded_reference():
                 seen["no_phase_keys"] += sum(key[2:3] == (-1,) for key in got)
             for key in ref_states[root]:
                 cuts = collect_cuts(states[root], _plain(key))
-                assert cuts == collect_cuts(ref_states[root], key), f"{where}, root key {key}"
+                assert cuts == _reference_cuts(ref_states[root], key), f"{where}, root key {key}"
                 seen["root_keys"] += 1
                 seen["cut_sets"].add(frozenset(cuts))
     # the corpus reaches cycles, the no-phase mark and many distinct witnesses
@@ -146,3 +172,86 @@ def test_dict_algebras_match_recorded_reference():
     assert seen["no_phase_keys"] > 100
     assert seen["root_keys"] > 10000
     assert len(seen["cut_sets"]) > 1000
+
+
+# Hand-built operands for one combine over edge (n0, n1), cost 3 and
+# capacity 2, window [2, 6].  The child's entries (2, 1) and (3, 1) share a
+# count: the later one offers the same cut keys, at an aux no better (for
+# cost, at the same child cost), so the combine skips them.  For cost the
+# child (4, 1) then offers those keys strictly cheaper.  Against child
+# (2, 1) the parent (5, 1) is too heavy to merge, but (6, 1) after it still
+# takes a cut.  Pinned: (key, aux, branch, parent key, child key) in order.
+KERNEL_CASES = {
+    "cost": (
+        lambda g: (variants.CostAlgebra(g, 2, 6, 3), ref.CostAlgebra(g, 2, 6, 3)),
+        {(1, 1): 0, (5, 1): 4, (6, 1): 1},
+        {(2, 1): 5, (3, 1): 5, (4, 1): 2},
+        [
+            ((1, 2), 5, "cut", (1, 1), (4, 1)),
+            ((3, 1), 5, "merge", (1, 1), (2, 1)),
+            ((5, 2), 9, "cut", (5, 1), (4, 1)),
+            ((6, 2), 6, "cut", (6, 1), (4, 1)),
+            ((4, 1), 5, "merge", (1, 1), (3, 1)),
+            ((5, 1), 2, "merge", (1, 1), (4, 1)),
+        ],
+    ),
+    "sizeweight": (
+        lambda g: (
+            variants.SizeWeightAlgebra(g, 2, 6, 3, 100, False),
+            ref.SizeWeightAlgebra(g, 2, 6, 3, 100, False),
+        ),
+        {(1, 1): 4, (5, 1): 3, (6, 1): 1},
+        {(2, 1): 7, (3, 1): 2, (4, 2): 9},
+        [
+            ((1, 2), 4, "cut", (1, 1), (2, 1)),
+            ((3, 1), 11, "merge", (1, 1), (2, 1)),
+            ((5, 2), 3, "cut", (5, 1), (2, 1)),
+            ((6, 2), 1, "cut", (6, 1), (2, 1)),
+            ((4, 1), 6, "merge", (1, 1), (3, 1)),
+            ((1, 3), 4, "cut", (1, 1), (4, 2)),
+            ((5, 3), 3, "cut", (5, 1), (4, 2)),
+            ((6, 3), 1, "cut", (6, 1), (4, 2)),
+        ],
+    ),
+    "capacity": (
+        lambda g: (variants.CapacityAlgebra(g, 2, 6, 10), ref.CapacityAlgebra(g, 2, 6, 10)),
+        {(1, 1): 0, (5, 1): 3, (6, 1): 1},
+        {(2, 1): 7, (3, 1): 2, (4, 2): 1},
+        [
+            ((1, 2), 2, "cut", (1, 1), (2, 1)),
+            ((3, 1), 7, "merge", (1, 1), (2, 1)),
+            ((5, 2), 1, "merge", (1, 1), (4, 2)),
+            ((6, 2), 3, "cut", (6, 1), (2, 1)),
+            ((4, 1), 2, "merge", (1, 1), (3, 1)),
+            ((1, 3), 2, "cut", (1, 1), (4, 2)),
+            ((5, 3), 5, "cut", (5, 1), (4, 2)),
+            ((6, 3), 3, "cut", (6, 1), (4, 2)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(KERNEL_CASES))
+def test_combine_skips_only_cuts_that_cannot_win(label):
+    """One combine of hand-built operands, pinned, and equal to the
+    reference's, which offers every candidate."""
+    names = [f"n{i}" for i in range(6)]
+    edges = [(names[i], names[i + 1]) for i in range(5)]
+    g = graph_from(dict.fromkeys(names, 1), edges, costs={edges[0]: 3}, capacities={edges[0]: 2})
+    make, a, b, want = KERNEL_CASES[label]
+    alg, ref_alg = make(g)
+    got = alg.combine(
+        {key: (aux, "leaf", "n0") for key, aux in a.items()},
+        {key: (aux, "leaf", "n1") for key, aux in b.items()},
+        edges[0],
+        None,
+    )
+    assert [(key, entry[0], entry[2], entry[4], entry[6]) for key, entry in got.items()] == want
+    assert {entry[7] for entry in got.values()} == {edges[0]}
+    ref_got = ref_alg.combine(
+        {key: (aux, ("leaf", "n0")) for key, aux in a.items()},
+        {key: (aux, ("leaf", "n1")) for key, aux in b.items()},
+        edges[0],
+        None,
+    )
+    assert [(key, aux, rec[1], rec[3], rec[5]) for key, (aux, rec) in ref_got.items()] == want
